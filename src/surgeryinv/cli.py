@@ -393,7 +393,8 @@ def build_parser():
                            help="working precision in bits (default 128)")
         if budget:
             p.add_argument("--budget", type=int, default=None,
-                           help=f"maximum number of enumerated summands "
+                           help=f"maximum number of summands enumerated "
+                                f"for one p-primary block of the group "
                                 f"(default {DEFAULT_TERM_BUDGET}, or "
                                 f"${BUDGET_ENV})")
 
@@ -450,6 +451,20 @@ def build_parser():
 
 
 def main(argv=None):
+    # exact results outgrow Python's int/str conversion limit (4300 digits
+    # by default); lift it while this command runs and restore it after
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _run(argv)
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("homology", "linking-form"):

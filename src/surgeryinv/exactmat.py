@@ -53,10 +53,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def is_square(a):
     r, c = shape(a)
     return r == c

@@ -11,10 +11,19 @@ on a manifold with torsion group T and linking form Q is the sum over
 T^n, in fundamental representatives u_i in [0, p_i), of
 e^{- pi i t(u) (K x Q) u} with K = C + t(C); the even diagonal of K is
 exactly what makes each term independent of the representative choice.
+
+Both that sum and the lattice sums of the reciprocity identity go through
+one engine over a finite quadratic module: cyclic generators with their
+orders, an integer Gram matrix and a modulus.  When each term depends
+only on the group element, the module splits orthogonally into p-primary
+blocks and the phase histogram over T^n is the cyclic convolution of the
+block histograms, so the cost is sum over p of |T_p|^n summands, not
+|T|^n.  The term budget bounds every enumerated block.
 """
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,35 +231,102 @@ def _check_budget(radix, ncopies, budget):
         )
 
 
-def partition_function(c, manifold, budget=None):
-    """Partition function of the U(1)^n theory with coupling matrix c.
+@dataclass(frozen=True)
+class _QuadraticModule:
+    """Finite abelian group on cyclic generators, with an integer pairing.
 
-    Sums e^{- pi i t(u) (K x Q) u} over u in the fundamental box of the
-    torsion group to the n-th Cartesian power, K = c + t(c), Q the cached
-    linking form.  The result is exact, deterministic and independent of
-    enumeration order.  The free homology sector contributes no finite
-    factor: it is absorbed into the (formal) normalization, so a manifold
-    with b1 > 0 simply sums over the torsion part.
+    Generator a has order factors[a]; an element is a coordinate vector u
+    with 0 <= u_a < factors[a].  Two elements pair to t(u) gram v read
+    modulo `modulus`.
     """
-    k = coupling_to_even(c)
-    n = len(k)
-    form = manifold.form
-    factors = form.factors
-    radix = math.prod(factors)
-    if n == 0 or radix == 1:
-        _check_budget(1, 1, budget)
-        return CyclotomicSum({Fraction(0): 1})
-    _check_budget(radix, n, budget)
 
-    denom = math.lcm(*[x.denominator for row in form.q for x in row])
-    qn = [[int(x * denom) for x in row] for row in form.q]
-    modulus = 2 * denom
+    factors: tuple
+    gram: tuple
+    modulus: int
+
+    @property
+    def order(self):
+        return math.prod(self.factors)
+
+
+def _key_is_well_defined(coeff, module):
+    """Whether t(u)(coeff x gram)u mod modulus is a function on the group.
+
+    Moving u_i by factors[a] along generator a changes the key by
+    2 sum_j coeff_ij factors[a] (gram u_j)_a + coeff_ii factors[a]^2 gram_aa,
+    so the key is well defined exactly when both kinds of term vanish mod
+    modulus for every i, j, a (with gram symmetric mod modulus).  The first
+    kind vanishes whenever the pairing is well defined on the group; the
+    second whenever coeff has an even diagonal, or the module's own
+    quadratic function is well defined, as it is for an even modulus matrix.
+    """
+    m = module.modulus
+    f, g = module.factors, module.gram
+    t = len(f)
+    c_all = math.gcd(*(x for row in coeff for x in row))
+    c_diag = math.gcd(*(coeff[i][i] for i in range(len(coeff))))
+    return all(
+        (g[a][b] - g[b][a]) % m == 0 and 2 * c_all * f[a] * g[a][b] % m == 0
+        for a in range(t) for b in range(t)
+    ) and all(c_diag * f[a] ** 2 * g[a][a] % m == 0 for a in range(t))
+
+
+def _coprime_parts(x, ncopies, budget):
+    """Pairwise coprime factors of x: its prime powers, by trial division.
+
+    Division stops once p**ncopies exceeds the budget: what is left then
+    has only prime factors >= p, so any block built from it fails the
+    budget check, and it is returned as one part.
+    """
+    parts = []
+    p = 2
+    while p * p <= x and p**ncopies <= budget:
+        if x % p == 0:
+            q = 1
+            while x % p == 0:
+                x //= p
+                q *= p
+            parts.append(q)
+        p += 1 if p == 2 else 2
+    if x > 1:
+        parts.append(x)
+    return parts
+
+
+def _primary_blocks(module, ncopies, budget):
+    """Orthogonal blocks of the module, one per coprime part of its exponent.
+
+    A generator g of order f = d * e, with d the part's share of f, gives
+    the block generator e * g of order d; its Gram entries scale by e.
+    """
+    parts = _coprime_parts(math.lcm(*module.factors), ncopies, budget)
+    if len(parts) == 1:
+        return [module]
+    blocks = []
+    for part in parts:
+        gens = [(a, f // math.gcd(f, part)) for a, f in enumerate(module.factors)
+                if math.gcd(f, part) > 1]
+        blocks.append(_QuadraticModule(
+            tuple(module.factors[a] // e for a, e in gens),
+            tuple(tuple(ea * eb * module.gram[a][b] % module.modulus
+                        for b, eb in gens) for a, ea in gens),
+            module.modulus,
+        ))
+    return blocks
+
+
+def _block_counts(coeff, module):
+    """Histogram key -> count of t(u)(coeff x gram)u mod modulus over the
+    whole box of the module to the power len(coeff)."""
+    factors, g, modulus = module.factors, module.gram, module.modulus
+    radix = module.order
+    n = len(coeff)
     reps = list(itertools.product(*(range(p) for p in factors)))
-    t = form.rank
+    t = len(factors)
 
     def pair(x, y):
         return sum(
-            x[a] * qn[a][b] * y[b] for a in range(t) for b in range(t)
+            x[a] * g[a][b] * y[b] for a in range(t) for b in range(t)
         ) % modulus
 
     diag = [pair(x, x) for x in reps]
@@ -263,9 +339,102 @@ def partition_function(c, manifold, budget=None):
                 v = pair(reps[a], reps[b])
                 gram[a][b] = v
                 gram[b][a] = v
-    counts = _accumulate_counts(k, gram, diag, radix, modulus, n)
+    return _accumulate_counts(coeff, gram, diag, radix, modulus, n)
+
+
+def _convolve(a, b, modulus):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = (ka + kb) % modulus
+            out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def _gauss_sum(coeff, module, sign, budget):
+    """Sum of e^{2 pi i sign key / modulus}, key = t(u)(coeff x gram)u,
+    over u in the box of the module to the power n = len(coeff).
+
+    When the key is a function on the group, the group is the orthogonal
+    sum of its p-primary blocks (Wall), so the key of u is the sum of the
+    keys of its block components and the histogram over the whole box is
+    the cyclic convolution of the block histograms: sum over p of |T_p|^n
+    summands instead of |T|^n.  Otherwise the value depends on the fixed
+    representatives and the whole box is enumerated as one block.  Every
+    block is held to the budget before any is enumerated.
+    """
+    n = len(coeff)
+    budget = DEFAULT_TERM_BUDGET if budget is None else budget
+    if n == 0 or module.order == 1:
+        _check_budget(1, 1, budget)
+        return CyclotomicSum({Fraction(0): 1})
+    if _key_is_well_defined(coeff, module):
+        blocks = _primary_blocks(module, n, budget)
+    else:
+        blocks = [module]
+    for block in blocks:
+        _check_budget(block.order, n, budget)
+    counts = {0: 1}
+    for block in blocks:
+        counts = _convolve(counts, _block_counts(coeff, block), module.modulus)
+    return _counts_to_sum(counts, module.modulus, flip=sign < 0)
+
+
+def partition_function(c, manifold, budget=None):
+    """Partition function of the U(1)^n theory with coupling matrix c.
+
+    Sums e^{- pi i t(u) (K x Q) u} over u in the fundamental box of the
+    torsion group to the n-th Cartesian power, K = c + t(c), Q the cached
+    linking form.  The result is exact, deterministic and independent of
+    enumeration order.  The free homology sector contributes no finite
+    factor: it is absorbed into the (formal) normalization, so a manifold
+    with b1 > 0 simply sums over the torsion part.
+
+    K is even, so each summand depends only on the group element and the
+    sum splits over the p-primary parts T_p of the torsion group: the
+    budget bounds |T_p|^n for every prime p, not |T|^n.
+    """
+    k = coupling_to_even(c)
+    form = manifold.form
+    denom = math.lcm(*(x.denominator for row in form.q for x in row))
+    module = _QuadraticModule(
+        form.factors,
+        tuple(tuple(int(x * denom) for x in row) for row in form.q),
+        2 * denom,
+    )
     # exponent carries a global minus sign
-    return _counts_to_sum(counts, modulus, flip=True)
+    return _gauss_sum(k, module, -1, budget)
+
+
+class CosetRepresentatives(Sequence):
+    """The fixed representatives inverse(u) c of Z^s / a Z^s, for c in the
+    box prod [0, d_i) in mixed-radix order, computed on demand.
+
+    generators[i] is column i of inverse(u): the class it stands for
+    generates the i-th cyclic summand of the quotient, of order factors[i].
+    The Gauss sums read only the generators, so a quotient far larger than
+    any enumeration costs nothing here.
+    """
+
+    def __init__(self, factors, generators):
+        self.factors = factors
+        self.generators = generators
+
+    def __len__(self):
+        return math.prod(self.factors)
+
+    def __getitem__(self, index):
+        if not 0 <= index < len(self):
+            raise IndexError("representative index out of range")
+        coords = []
+        for d in reversed(self.factors):
+            index, digit = divmod(index, d)
+            coords.append(digit)
+        coords.reverse()
+        return tuple(
+            sum(g[i] * c for g, c in zip(self.generators, coords))
+            for i in range(len(self.factors))
+        )
 
 
 def coset_representatives(a):
@@ -274,23 +443,17 @@ def coset_representatives(a):
     Derived from the Smith normal form d = u a v: the map x -> u x mod d
     identifies the quotient with the box prod [0, d_i), so the columns of
     inverse(u) applied to the box enumerate each class exactly once.
-    Returns (reps, invariant_factors); the representative order is the
-    mixed-radix order of the box and is deterministic.
+    Returns (reps, invariant_factors); reps is a CosetRepresentatives
+    sequence in the mixed-radix order of the box, which is deterministic.
     """
     s = len(a)
-    if s == 0:
-        return [()], ()
-    det = det_int(a)
-    if det == 0:
+    if det_int(a) == 0:
         raise ValueError("modulus matrix must be nonsingular")
     snf = smith_normal_form(a)
-    factors = tuple(snf.d[i][i] for i in range(s))
     u_inv = int_inverse(snf.u)
-    reps = [
-        tuple(sum(u_inv[i][j] * c[j] for j in range(s)) for i in range(s))
-        for c in itertools.product(*(range(d) for d in factors))
-    ]
-    return reps, factors
+    factors = tuple(snf.d[i][i] for i in range(s))
+    gens = tuple(tuple(u_inv[i][c] for i in range(s)) for c in range(s))
+    return CosetRepresentatives(factors, gens), factors
 
 
 def gauss_sum_over_lattice(l, k0, sign, budget=None):
@@ -299,10 +462,13 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     l is any symmetric m x m integer matrix; k0 is a nonsingular symmetric
     s x s integer matrix defining the quotient.  The representative set is
     the fixed one from coset_representatives, used consistently for both
-    sides of each term.  When k0 has an even diagonal every term is
-    independent of the representative choice; for an odd k0 the sum is
-    still well defined as a function of the fixed representatives, which
-    is the convention the reciprocity identity is stated with.
+    sides of each term.  When l or k0 has an even diagonal every term is
+    independent of the representative choice, and the sum splits over the
+    p-primary parts of the quotient, with the budget bounding each part's
+    summands.  For an odd l and an odd k0 the sum is still well defined as
+    a function of the fixed representatives, which is the convention the
+    reciprocity identity is stated with; unless no term depends on them,
+    the whole quotient is enumerated as one block.
     """
     if not is_symmetric(l):
         raise ValueError("summand matrix must be symmetric")
@@ -310,41 +476,23 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
         raise ValueError("modulus matrix must be symmetric")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = len(l)
     s = len(k0)
-    det = det_int(k0) if s else 1
+    det = det_int(k0)
     if det == 0:
         raise ValueError("modulus matrix must be nonsingular")
-    if m == 0 or s == 0:
-        _check_budget(1, 1, budget)
-        return CyclotomicSum({Fraction(0): 1})
-
-    radix = abs(det)
-    _check_budget(radix, m, budget)
-    reps, _ = coset_representatives(k0)
-    # inverse(k0) = adjugate / det with the adjugate integral
-    inv = rat_inverse(k0)
-    adj = [[int(x * det) for x in row] for row in inv]
     modulus = 2 * abs(det)
-    det_sign = 1 if det > 0 else -1
-
-    def pair(x, y):
-        return sum(
-            x[a] * adj[a][b] * y[b] for a in range(s) for b in range(s)
-        ) % modulus
-
-    diag = [pair(x, x) for x in reps]
-    gram = None
-    if m >= 2:
-        gram = [[0] * radix for _ in range(radix)]
-        for a in range(radix):
-            gram[a][a] = diag[a]
-            for b in range(a + 1, radix):
-                v = pair(reps[a], reps[b])
-                gram[a][b] = v
-                gram[b][a] = v
-    counts = _accumulate_counts(l, gram, diag, radix, modulus, m)
-    # phase numerator is sign * pair / (2 det): fold det's sign in, then
-    # flip once more when sign is negative
-    flip = (sign * det_sign) < 0
-    return _counts_to_sum(counts, modulus, flip=flip)
+    # the module on the Smith generators g_i = inverse(u) e_i, paired by
+    # t(g_i) adjugate(k0) g_j; inverse(k0) = adjugate / det
+    reps, factors = coset_representatives(k0)
+    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
+    gens = [g for g, d in zip(reps.generators, factors) if d >= 2]
+    gram = tuple(
+        tuple(
+            sum(g1[i] * adj[i][j] * g2[j] for i in range(s) for j in range(s)) % modulus
+            for g2 in gens
+        )
+        for g1 in gens
+    )
+    module = _QuadraticModule(tuple(d for d in factors if d >= 2), gram, modulus)
+    # phase numerator is sign * pair / (2 det): fold det's sign in
+    return _gauss_sum(l, module, sign * (1 if det > 0 else -1), budget)

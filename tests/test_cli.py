@@ -170,6 +170,23 @@ def test_exit_codes(tmp_path, capsys):
     assert code == EXIT_PARSE and err
 
 
+def test_snf_json_round_trips_an_entry_beyond_the_int_str_limit(tmp_path, capsys):
+    # 5000 digits: beyond Python's default int/str conversion limit of 4300
+    digits = "1" + "0" * 4998 + "7"
+    m = tmp_path / "m.txt"
+    m.write_text(f"1 1\n{digits}\n")
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    code, out, err = run_cli(capsys, ["snf", str(m), "--json"])
+    assert code == EXIT_OK, err
+    doc = json.loads(out, parse_int=str)
+    assert doc["input"] == [[digits]]
+    assert doc["d"] == [[digits]]
+    assert doc["invariant_factors"] == [digits]
+    if get_limit:
+        assert get_limit() == before
+
+
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
     c = write(tmp_path, "c.txt", ((0, 1), (0, 0)))
     monkeypatch.setenv(cli.BUDGET_ENV, "5")

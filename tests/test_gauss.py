@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from surgeryinv.exactmat import det_int, rat_inverse
+from surgeryinv import gauss
+from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, transpose
 from surgeryinv.gauss import (
     BudgetExceededError,
     CyclotomicSum,
@@ -22,7 +25,12 @@ from surgeryinv.gauss import (
 )
 from surgeryinv.homology import LinkingForm, lens_presentation, presentation
 from surgeryinv.surgery import kirby1, kirby2
-from helpers import brute_radical_terms, rand_even_symmetric, rand_symmetric
+from helpers import (
+    brute_radical_terms,
+    rand_even_symmetric,
+    rand_symmetric,
+    rand_unimodular,
+)
 
 
 Z2_HALF = LinkingForm((2,), ((Fraction(1, 2),),))
@@ -149,6 +157,21 @@ def test_partition_function_kirby_moves_leave_value_unchanged():
             moved = kirby2(moved, i0, j0, rng.choice([1, -1]))
         z1 = complex(eval_numeric(partition_function(c, presentation(moved))))
         assert abs(z0 - z1) < 1e-9
+
+
+def test_coset_representatives_are_the_box_in_mixed_radix_order():
+    k0 = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
+    reps, factors = coset_representatives(k0)
+    gens = reps.generators
+    box = [
+        tuple(sum(g[i] * c for g, c in zip(gens, cs)) for i in range(3))
+        for cs in itertools.product(*(range(d) for d in factors))
+    ]
+    assert list(reps) == box
+    with pytest.raises(IndexError):
+        reps[len(box)]
+    empty, _ = coset_representatives(())
+    assert list(empty) == [()]
 
 
 def test_coset_representatives_cover_the_quotient():
@@ -319,3 +342,187 @@ def test_magnitude_law_small():
         assert abs(rad_value.imag) < 1e-9
         if len(rad_phases) == 1:
             assert abs(abs(z) - math.sqrt(total)) < 1e-9
+
+
+def enumerated_blocks(fn, *args, one_block=False):
+    """Run fn, returning its result and the radix of every block the
+    engine checked against the budget.  With one_block the engine is kept
+    from splitting, which makes it enumerate the whole box: the oracle."""
+    radices = []
+    check = gauss._check_budget
+
+    def spy(radix, ncopies, budget):
+        radices.append(radix)
+        return check(radix, ncopies, budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "_check_budget", spy)
+        if one_block:
+            patch.setattr(gauss, "_primary_blocks", lambda module, n, budget: [module])
+        return fn(*args), radices
+
+
+def is_prime_power(x):
+    """True for p^e, e >= 0: a group of this order is a single block."""
+    if x == 1:
+        return True
+    p = next(d for d in range(2, x + 1) if x % d == 0)
+    while x % p == 0:
+        x //= p
+    return x == 1
+
+
+def unimodular_congruence(seed, diag):
+    """t(g) diag(diag) g for a random unimodular g: the same Gauss sums as
+    diag(diag), with no structure left in the entries."""
+    size = len(diag)
+    g = rand_unimodular(random.Random(seed), size)
+    d = tuple(tuple(diag[i] if i == j else 0 for j in range(size)) for i in range(size))
+    return mat_mul(transpose(g), mat_mul(d, g))
+
+
+@st.composite
+def mixed_torsion_cases(draw):
+    """(linking matrix, b1, torsion factors, coupling size n): b1 > 0 and
+    torsion Z_d1 + Z_d2, d1 | d2, of order divisible by two primes."""
+    n = draw(st.integers(1, 3))
+    torsion = [
+        (d1, d1 * k) for d1 in (2, 3, 4, 6) for k in range(1, 6)
+        if not is_prime_power(d1 * k) and (d1 * d1 * k) ** n <= 8000
+    ]
+    d1, d2 = draw(st.sampled_from(torsion))
+    b1 = draw(st.integers(1, 2))
+    l = unimodular_congruence(draw(st.integers(0, 10**6)), [0] * b1 + [d1, d2])
+    return l, b1, (d1, d2), n
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mixed_torsion_cases(), st.data())
+def test_split_partition_function_equals_one_block(case, data):
+    l, b1, factors, n = case
+    man = presentation(l)
+    assert (man.b1, man.form.factors) == (b1, factors)
+    c = tuple(
+        tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(n)
+    )
+    split, radices = enumerated_blocks(partition_function, c, man)
+    whole, whole_radices = enumerated_blocks(partition_function, c, man, one_block=True)
+    assert split == whole
+    order = math.prod(factors)
+    assert whole_radices == [order]
+    assert len(radices) >= 2 and math.prod(radices) == order
+    assert all(is_prime_power(r) for r in radices)
+
+
+def representatives_matter(l, k0):
+    """Brute force: does moving one fixed representative by d_a times the
+    a-th Smith generator, a vector of k0 Z^s, change a term of the sum?"""
+    s, m = len(k0), len(l)
+    det = det_int(k0)
+    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
+    reps, factors = coset_representatives(k0)
+    shifts = [tuple(d * x for x in g) for g, d in zip(reps.generators, factors) if d >= 2]
+
+    def value(xs):
+        # the phase t(x)(l x inverse(k0))x / 2, times 2|det|, mod 2|det|
+        return det * sum(
+            l[i][j] * xs[i][a] * adj[a][b] * xs[j][b]
+            for i in range(m) for j in range(m) for a in range(s) for b in range(s)
+        ) % (2 * det * det)
+
+    for xs in itertools.product(reps, repeat=m):
+        base = value(xs)
+        for i in range(m):
+            for shift in shifts:
+                moved = list(xs)
+                moved[i] = tuple(x + y for x, y in zip(xs[i], shift))
+                if value(moved) != base:
+                    return True
+    return False
+
+
+@st.composite
+def lattice_cases(draw):
+    s = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    entries = st.integers(-6, 6)
+
+    def symmetric(size, even):
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                rows[i][j] = rows[j][i] = draw(entries)
+            if even:
+                rows[i][i] = 2 * (rows[i][i] // 2)
+        return tuple(tuple(row) for row in rows)
+
+    if draw(st.booleans()):
+        k0 = symmetric(s, draw(st.booleans()))
+    else:
+        # composite determinants, odd and even k0 alike
+        diag = draw(st.lists(st.sampled_from([1, -1, 3, 6, -6, 10, 12, -15]),
+                             min_size=s, max_size=s))
+        k0 = unimodular_congruence(draw(st.integers(0, 10**6)), diag)
+    det = det_int(k0)
+    assume(det != 0 and abs(det) ** m <= 2000)
+    l = symmetric(m, draw(st.booleans()))
+    return l, k0, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lattice_cases())
+def test_split_lattice_sum_equals_one_block(case):
+    l, k0, sign = case
+    split, radices = enumerated_blocks(gauss_sum_over_lattice, l, k0, sign)
+    whole, _ = enumerated_blocks(gauss_sum_over_lattice, l, k0, sign, one_block=True)
+    assert split == whole
+    order = abs(det_int(k0))
+    assert math.prod(radices) == order
+    if is_prime_power(order):
+        assert len(radices) == 1
+        return
+    odd = any(l[i][i] % 2 for i in range(len(l))) and any(
+        k0[i][i] % 2 for i in range(len(k0)))
+    # an even pair always splits; an odd one exactly when no term depends
+    # on the representatives
+    assert (len(radices) > 1) == (not odd or not representatives_matter(l, k0))
+
+
+def test_odd_pairs_split_only_when_representatives_cannot_matter():
+    # quotient Z_15 with form 1/15: moving x by 15 moves x^2/30 by 1/2
+    k0 = ((1, 0), (0, 15))
+    assert representatives_matter(((1,),), k0)
+    _, radices = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1)
+    assert radices == [15]
+    _, radices = enumerated_blocks(gauss_sum_over_lattice, ((2,),), k0, +1)
+    assert sorted(radices) == [3, 5]
+    # quotient Z_12 with form 1/12: x^2/24 is a function on Z_12, so the
+    # odd pair splits and still equals the one-block sum
+    k0 = ((1, 0), (0, 12))
+    assert not representatives_matter(((1,),), k0)
+    split, radices = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1)
+    assert sorted(radices) == [3, 4]
+    whole, _ = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1, one_block=True)
+    assert split == whole
+
+
+def test_budget_bounds_each_block():
+    # lens(2000) = Z_16 + Z_125: blocks of 16^2 and 125^2 = 15625 summands
+    man = lens_presentation(2000, 1)
+    c = ((1, 2), (0, 3))
+    z, radices = enumerated_blocks(partition_function, c, man, 16_000)
+    assert sorted(radices) == [16, 125]
+    assert z.total_multiplicity == 2000**2
+    with pytest.raises(BudgetExceededError):
+        partition_function(c, man, budget=15_000)
+
+
+def test_trial_division_stops_at_the_budget():
+    # primes beyond the budget are never divided out: what is left is one
+    # part, and its block fails the budget check
+    p, q = 1_000_003, 1_000_033
+    assert gauss._coprime_parts(12 * p * q, 1, 10**7) == [4, 3, p, q]
+    assert gauss._coprime_parts(12 * p * q, 1, 100) == [4, 3, p * q]
+    assert gauss._coprime_parts(12 * p * q, 2, 100) == [4, 3, p * q]
+    with pytest.raises(BudgetExceededError):
+        partition_function(((1,),), lens_presentation(6 * p, 1), budget=10**5)
