@@ -394,7 +394,8 @@ def build_parser():
         if budget:
             p.add_argument("--budget", type=int, default=None,
                            help=f"maximum number of summands enumerated "
-                                f"for one p-primary block of the group "
+                                f"for one p-primary block of the group, "
+                                f"and of pair updates combining the blocks "
                                 f"(default {DEFAULT_TERM_BUDGET}, or "
                                 f"${BUDGET_ENV})")
 

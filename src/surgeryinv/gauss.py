@@ -17,13 +17,14 @@ one engine over a finite quadratic module: cyclic generators with their
 orders, an integer Gram matrix and a modulus.  When each term depends
 only on the group element, the module splits orthogonally into p-primary
 blocks and the phase histogram over T^n is the cyclic convolution of the
-block histograms, so the cost is sum over p of |T_p|^n summands, not
-|T|^n.  The term budget bounds every enumerated block.
+block histograms: sum over p of |T_p|^n summands, not |T|^n, plus the
+convolution, whose steps cost at most the product of the key counts of
+the blocks so far times the next block's.  The term budget bounds every
+enumerated block and every convolution step.
 """
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,6 +343,39 @@ def _block_counts(coeff, module):
     return _accumulate_counts(coeff, gram, diag, radix, modulus, n)
 
 
+def _key_bound(coeff, block):
+    """Upper bound on the distinct keys of a block's histogram.
+
+    Every key is an integer combination of products coeff_ij * gram_ab, so
+    it lies in the subgroup of Z/modulus generated by their gcd; and there
+    are no more keys than summands.
+    """
+    m = block.modulus
+    c = math.gcd(*(x for row in coeff for x in row))
+    g = math.gcd(*(x for row in block.gram for x in row))
+    return min(block.order ** len(coeff), m // math.gcd(m, c * g))
+
+
+def _check_convolution(bounds, modulus, budget):
+    """Hold every convolution step of the block histograms to the budget.
+
+    Step k pairs each key of the histogram so far (at most the product of
+    the earlier blocks' key bounds, and at most modulus) with each key of
+    block k.  The product of the key bounds up to block k is at most that
+    block prefix's share of the |T|^n summands, so a sum whose summands fit
+    the budget always passes.
+    """
+    support = bounds[0]
+    for h in bounds[1:]:
+        work = min(support, modulus) * h
+        if work > budget:
+            raise BudgetExceededError(
+                f"convolving the block histograms takes up to {work} pair "
+                f"updates, over the term budget of {budget}"
+            )
+        support *= h
+
+
 def _convolve(a, b, modulus):
     out = {}
     for ka, va in a.items():
@@ -359,9 +393,10 @@ def _gauss_sum(coeff, module, sign, budget):
     sum of its p-primary blocks (Wall), so the key of u is the sum of the
     keys of its block components and the histogram over the whole box is
     the cyclic convolution of the block histograms: sum over p of |T_p|^n
-    summands instead of |T|^n.  Otherwise the value depends on the fixed
-    representatives and the whole box is enumerated as one block.  Every
-    block is held to the budget before any is enumerated.
+    summands instead of |T|^n, plus the convolution steps.  Otherwise the
+    value depends on the fixed representatives and the whole box is
+    enumerated as one block.  Every block and every convolution step is
+    held to the budget before any block is enumerated.
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
@@ -374,8 +409,9 @@ def _gauss_sum(coeff, module, sign, budget):
         blocks = [module]
     for block in blocks:
         _check_budget(block.order, n, budget)
-    counts = {0: 1}
-    for block in blocks:
+    _check_convolution([_key_bound(coeff, b) for b in blocks], module.modulus, budget)
+    counts = _block_counts(coeff, blocks[0])
+    for block in blocks[1:]:
         counts = _convolve(counts, _block_counts(coeff, block), module.modulus)
     return _counts_to_sum(counts, module.modulus, flip=sign < 0)
 
@@ -392,7 +428,8 @@ def partition_function(c, manifold, budget=None):
 
     K is even, so each summand depends only on the group element and the
     sum splits over the p-primary parts T_p of the torsion group: the
-    budget bounds |T_p|^n for every prime p, not |T|^n.
+    budget bounds |T_p|^n for every prime p, and each step of convolving
+    their phase histograms, not |T|^n.
     """
     k = coupling_to_even(c)
     form = manifold.form
@@ -406,35 +443,22 @@ def partition_function(c, manifold, budget=None):
     return _gauss_sum(k, module, -1, budget)
 
 
-class CosetRepresentatives(Sequence):
-    """The fixed representatives inverse(u) c of Z^s / a Z^s, for c in the
-    box prod [0, d_i) in mixed-radix order, computed on demand.
+def _smith_generators(a):
+    """Invariant factors of Z^s / a Z^s and generators of its cyclic summands.
 
-    generators[i] is column i of inverse(u): the class it stands for
-    generates the i-th cyclic summand of the quotient, of order factors[i].
-    The Gauss sums read only the generators, so a quotient far larger than
-    any enumeration costs nothing here.
+    With d = u a v the Smith normal form of the nonsingular matrix a, the
+    map x -> u x mod d identifies the quotient with the box prod [0, d_i);
+    generator i is column i of inverse(u), the class of the i-th unit
+    vector of the box, of order d_i.
     """
-
-    def __init__(self, factors, generators):
-        self.factors = factors
-        self.generators = generators
-
-    def __len__(self):
-        return math.prod(self.factors)
-
-    def __getitem__(self, index):
-        if not 0 <= index < len(self):
-            raise IndexError("representative index out of range")
-        coords = []
-        for d in reversed(self.factors):
-            index, digit = divmod(index, d)
-            coords.append(digit)
-        coords.reverse()
-        return tuple(
-            sum(g[i] * c for g, c in zip(self.generators, coords))
-            for i in range(len(self.factors))
-        )
+    s = len(a)
+    if s == 0:
+        return (), ()
+    snf = smith_normal_form(a)
+    u_inv = int_inverse(snf.u)
+    factors = tuple(snf.d[i][i] for i in range(s))
+    gens = tuple(tuple(u_inv[i][c] for i in range(s)) for c in range(s))
+    return factors, gens
 
 
 def coset_representatives(a):
@@ -443,17 +467,18 @@ def coset_representatives(a):
     Derived from the Smith normal form d = u a v: the map x -> u x mod d
     identifies the quotient with the box prod [0, d_i), so the columns of
     inverse(u) applied to the box enumerate each class exactly once.
-    Returns (reps, invariant_factors); reps is a CosetRepresentatives
-    sequence in the mixed-radix order of the box, which is deterministic.
+    Returns (reps, invariant_factors); the representative order is the
+    mixed-radix order of the box and is deterministic.
     """
     s = len(a)
-    if det_int(a) == 0:
+    if s and det_int(a) == 0:
         raise ValueError("modulus matrix must be nonsingular")
-    snf = smith_normal_form(a)
-    u_inv = int_inverse(snf.u)
-    factors = tuple(snf.d[i][i] for i in range(s))
-    gens = tuple(tuple(u_inv[i][c] for i in range(s)) for c in range(s))
-    return CosetRepresentatives(factors, gens), factors
+    factors, gens = _smith_generators(a)
+    reps = [
+        tuple(sum(g[i] * c for g, c in zip(gens, box)) for i in range(s))
+        for box in itertools.product(*(range(d) for d in factors))
+    ]
+    return reps, factors
 
 
 def gauss_sum_over_lattice(l, k0, sign, budget=None):
@@ -465,10 +490,11 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     sides of each term.  When l or k0 has an even diagonal every term is
     independent of the representative choice, and the sum splits over the
     p-primary parts of the quotient, with the budget bounding each part's
-    summands.  For an odd l and an odd k0 the sum is still well defined as
-    a function of the fixed representatives, which is the convention the
-    reciprocity identity is stated with; unless no term depends on them,
-    the whole quotient is enumerated as one block.
+    summands and each step of convolving their histograms.  For an odd l
+    and an odd k0 the sum is still well defined as a function of the fixed
+    representatives, which is the convention the reciprocity identity is
+    stated with; unless no term depends on them, the whole quotient is
+    enumerated as one block.
     """
     if not is_symmetric(l):
         raise ValueError("summand matrix must be symmetric")
@@ -483,9 +509,9 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     modulus = 2 * abs(det)
     # the module on the Smith generators g_i = inverse(u) e_i, paired by
     # t(g_i) adjugate(k0) g_j; inverse(k0) = adjugate / det
-    reps, factors = coset_representatives(k0)
+    factors, gens = _smith_generators(k0)
     adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
-    gens = [g for g, d in zip(reps.generators, factors) if d >= 2]
+    gens = [g for g, d in zip(gens, factors) if d >= 2]
     gram = tuple(
         tuple(
             sum(g1[i] * adj[i][j] * g2[j] for i in range(s) for j in range(s)) % modulus

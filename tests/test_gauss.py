@@ -162,16 +162,14 @@ def test_partition_function_kirby_moves_leave_value_unchanged():
 def test_coset_representatives_are_the_box_in_mixed_radix_order():
     k0 = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
     reps, factors = coset_representatives(k0)
-    gens = reps.generators
+    smith_factors, gens = gauss._smith_generators(k0)
+    assert smith_factors == factors
     box = [
         tuple(sum(g[i] * c for g, c in zip(gens, cs)) for i in range(3))
         for cs in itertools.product(*(range(d) for d in factors))
     ]
-    assert list(reps) == box
-    with pytest.raises(IndexError):
-        reps[len(box)]
-    empty, _ = coset_representatives(())
-    assert list(empty) == [()]
+    assert reps == box
+    assert coset_representatives(()) == ([()], ())
 
 
 def test_coset_representatives_cover_the_quotient():
@@ -412,6 +410,8 @@ def test_split_partition_function_equals_one_block(case, data):
     assert whole_radices == [order]
     assert len(radices) >= 2 and math.prod(radices) == order
     assert all(is_prime_power(r) for r in radices)
+    # a sum whose summands fit the budget never fails its convolution check
+    assert partition_function(c, man, budget=order**n) == whole
 
 
 def representatives_matter(l, k0):
@@ -420,8 +420,9 @@ def representatives_matter(l, k0):
     s, m = len(k0), len(l)
     det = det_int(k0)
     adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
-    reps, factors = coset_representatives(k0)
-    shifts = [tuple(d * x for x in g) for g, d in zip(reps.generators, factors) if d >= 2]
+    reps, _ = coset_representatives(k0)
+    factors, gens = gauss._smith_generators(k0)
+    shifts = [tuple(d * x for x in g) for g, d in zip(gens, factors) if d >= 2]
 
     def value(xs):
         # the phase t(x)(l x inverse(k0))x / 2, times 2|det|, mod 2|det|
@@ -526,3 +527,24 @@ def test_trial_division_stops_at_the_budget():
     assert gauss._coprime_parts(12 * p * q, 2, 100) == [4, 3, p * q]
     with pytest.raises(BudgetExceededError):
         partition_function(((1,),), lens_presentation(6 * p, 1), budget=10**5)
+
+
+def test_budget_bounds_each_convolution_step():
+    # lens(1009 * 1013), n = 1: both blocks fit a budget of 10^5, but
+    # combining them pairs about 10^6 phases, so it is refused before
+    # either block is enumerated
+    p, q = 1009, 1013
+    man = lens_presentation(p * q, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "_block_counts", lambda coeff, block: pytest.fail("enumerated"))
+        with pytest.raises(BudgetExceededError, match="convolving"):
+            enumerated_blocks(partition_function, ((1,),), man, 10**5)
+    z, radices = enumerated_blocks(partition_function, ((1,),), man, 2 * 10**6)
+    assert sorted(radices) == [p, q] and z.total_multiplicity == p * q
+    # 2 * 3 * ... * 31: every block is tiny, but the phases multiply
+    order = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    with pytest.raises(BudgetExceededError, match="convolving"):
+        partition_function(((1,),), lens_presentation(order, 1))
+    # the same holds for the lattice sums: the quotient Z_(p q) with n = 1
+    with pytest.raises(BudgetExceededError, match="convolving"):
+        gauss_sum_over_lattice(((2,),), ((p * q,),), 1, budget=10**5)
