@@ -346,8 +346,12 @@ def block_decompose(a):
     """
     if not is_symmetric(a):
         raise ValueError("block decomposition needs a symmetric matrix")
+    return _split_off_kernel(a, smith_normal_form(a))
+
+
+def _split_off_kernel(a, snf):
+    """block_decompose of the symmetric matrix a, given its Smith form."""
     n = len(a)
-    snf = smith_normal_form(a)
     r = len(snf.invariant_factors())
     if r == n:
         return BlockDecomposition(identity(n), a, n)

@@ -14,12 +14,13 @@ exactly what makes each term independent of the representative choice.
 
 Both that sum and the lattice sums of the reciprocity identity go through
 one engine over a finite quadratic module: cyclic generators with their
-orders, an integer Gram matrix and a modulus.  When each term depends
-only on the group element, the module splits orthogonally into p-primary
-blocks and the phase histogram over T^n is the cyclic convolution of the
-block histograms: sum over p of |T_p|^n summands, not |T|^n, plus the
-convolution, whose steps cost at most the product of the key counts of
-the blocks so far times the next block's.  The term budget bounds every
+orders, an integer Gram matrix and a modulus, read off the linking form
+of the manifold or of the lattice sum's modulus matrix.  When each term
+depends only on the group element, the module splits orthogonally into
+p-primary blocks and the phase histogram over T^n is the cyclic
+convolution of the block histograms: sum over p of |T_p|^n summands, not
+|T|^n, plus the convolution, whose steps cost at most the product of the
+key counts of the blocks so far times the next block's.  The term budget bounds every
 enumerated block and every convolution step.
 """
 
@@ -30,7 +31,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .exactmat import det_int, int_inverse, is_symmetric, rat_inverse, smith_normal_form
+from .exactmat import is_symmetric
+from .homology import _torsion_module
 from .surgery import coupling_to_even
 
 DEFAULT_TERM_BUDGET = 10**7
@@ -431,63 +433,55 @@ def partition_function(c, manifold, budget=None):
     budget bounds |T_p|^n for every prime p, and each step of convolving
     their phase histograms, not |T|^n.
     """
-    k = coupling_to_even(c)
-    form = manifold.form
+    # exponent carries a global minus sign
+    return _gauss_sum(coupling_to_even(c), _form_module(manifold.form), -1, budget)
+
+
+def _form_module(form):
+    """The quadratic module of a linking form: Gram numerators over twice
+    their common denominator, so that a key over the modulus is half the
+    form's value."""
     denom = math.lcm(*(x.denominator for row in form.q for x in row))
-    module = _QuadraticModule(
+    return _QuadraticModule(
         form.factors,
         tuple(tuple(int(x * denom) for x in row) for row in form.q),
         2 * denom,
     )
-    # exponent carries a global minus sign
-    return _gauss_sum(k, module, -1, budget)
 
 
-def _smith_generators(a):
-    """Invariant factors of Z^s / a Z^s and generators of its cyclic summands.
-
-    With d = u a v the Smith normal form of the nonsingular matrix a, the
-    map x -> u x mod d identifies the quotient with the box prod [0, d_i);
-    generator i is column i of inverse(u), the class of the i-th unit
-    vector of the box, of order d_i.
-    """
-    s = len(a)
-    if s == 0:
-        return (), ()
-    snf = smith_normal_form(a)
-    u_inv = int_inverse(snf.u)
-    factors = tuple(snf.d[i][i] for i in range(s))
-    gens = tuple(tuple(u_inv[i][c] for i in range(s)) for c in range(s))
-    return factors, gens
+def _nonsingular_torsion_module(k0):
+    rank, form, gens = _torsion_module(k0)
+    if rank < len(k0):
+        raise ValueError("modulus matrix must be nonsingular")
+    return form, gens
 
 
 def coset_representatives(a):
-    """Fixed representatives of Z^s / a Z^s for a nonsingular integer matrix.
+    """Fixed representatives of Z^s / a Z^s for a nonsingular symmetric a.
 
-    Derived from the Smith normal form d = u a v: the map x -> u x mod d
-    identifies the quotient with the box prod [0, d_i), so the columns of
-    inverse(u) applied to the box enumerate each class exactly once.
-    Returns (reps, invariant_factors); the representative order is the
-    mixed-radix order of the box and is deterministic.
+    The quotient is the group of the linking form of a.  With d = u a v the
+    Smith form, generator i of linking_form_with_generators(a) is the class
+    of unit vector i of the box prod [0, d_i), so its combinations over the
+    box enumerate each class exactly once.  Returns (reps, all s invariant
+    factors); the representative order is the mixed-radix order of the box.
     """
     s = len(a)
-    if s and det_int(a) == 0:
-        raise ValueError("modulus matrix must be nonsingular")
-    factors, gens = _smith_generators(a)
+    form, gens = _nonsingular_torsion_module(a)
     reps = [
         tuple(sum(g[i] * c for g, c in zip(gens, box)) for i in range(s))
-        for box in itertools.product(*(range(d) for d in factors))
+        for box in itertools.product(*(range(d) for d in form.factors))
     ]
-    return reps, factors
+    return reps, (1,) * (s - form.rank) + form.factors
 
 
 def gauss_sum_over_lattice(l, k0, sign, budget=None):
     """Sum of e^{sign * pi i t(x) (l x inverse(k0)) x} over (Z^s/k0 Z^s)^m.
 
     l is any symmetric m x m integer matrix; k0 is a nonsingular symmetric
-    s x s integer matrix defining the quotient.  The representative set is
-    the fixed one from coset_representatives, used consistently for both
-    sides of each term.  When l or k0 has an even diagonal every term is
+    s x s integer matrix defining the quotient.  The module summed over is
+    the linking form of k0, as in partition_function, and the representative
+    set is the fixed one from coset_representatives, used consistently for
+    both sides of each term.  When l or k0 has an even diagonal every term is
     independent of the representative choice, and the sum splits over the
     p-primary parts of the quotient, with the budget bounding each part's
     summands and each step of convolving their histograms.  For an odd l
@@ -502,23 +496,5 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
         raise ValueError("modulus matrix must be symmetric")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    s = len(k0)
-    det = det_int(k0)
-    if det == 0:
-        raise ValueError("modulus matrix must be nonsingular")
-    modulus = 2 * abs(det)
-    # the module on the Smith generators g_i = inverse(u) e_i, paired by
-    # t(g_i) adjugate(k0) g_j; inverse(k0) = adjugate / det
-    factors, gens = _smith_generators(k0)
-    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
-    gens = [g for g, d in zip(gens, factors) if d >= 2]
-    gram = tuple(
-        tuple(
-            sum(g1[i] * adj[i][j] * g2[j] for i in range(s) for j in range(s)) % modulus
-            for g2 in gens
-        )
-        for g1 in gens
-    )
-    module = _QuadraticModule(tuple(d for d in factors if d >= 2), gram, modulus)
-    # phase numerator is sign * pair / (2 det): fold det's sign in
-    return _gauss_sum(l, module, sign * (1 if det > 0 else -1), budget)
+    form, _ = _nonsingular_torsion_module(k0)
+    return _gauss_sum(l, _form_module(form), sign, budget)

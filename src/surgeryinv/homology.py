@@ -3,22 +3,16 @@
 For a closed oriented 3-manifold given by surgery on a link with n x n
 linking matrix L, the first homology is Z^n / L Z^n: its free rank b1 is
 the corank of L and its torsion part is read off the Smith normal form of
-the nonsingular block L0.  The torsion linking form is represented by the
-rational matrix inverse of L0, pushed onto a set of cyclic generators
-aligned with the invariant factors.
+the nonsingular block L0.  The same Smith form gives cyclic generators
+aligned with the invariant factors and the torsion linking form on them,
+with no matrix inverse (see linking_form_with_generators).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import (
-    block_decompose,
-    int_inverse,
-    is_symmetric,
-    rat_inverse,
-    smith_normal_form,
-)
+from .exactmat import _split_off_kernel, is_symmetric, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -109,16 +103,40 @@ def first_homology(l):
     return b1, TorsionGroup(factors)
 
 
+def _summary(b1, torsion):
+    return HomologySummary(b1, torsion, Group(1), Group(b1, torsion.factors),
+                           Group(b1), Group(1))
+
+
 def full_homology(l):
-    b1, torsion = first_homology(l)
-    return HomologySummary(
-        b1=b1,
-        torsion=torsion,
-        h0=Group(1),
-        h1=Group(b1, torsion.factors),
-        h2=Group(b1),
-        h3=Group(1),
+    return _summary(*first_homology(l))
+
+
+def _torsion_module(l):
+    """(rank, linking form, generators) of l: one Smith form when l is
+    nonsingular, its own block; a second, on the block, when it is not."""
+    if not is_symmetric(l):
+        raise ValueError("block decomposition needs a symmetric matrix")
+    snf = smith_normal_form(l)
+    dec = _split_off_kernel(l, snf)
+    a, r = dec.a0, dec.rank
+    if r < len(l):
+        snf = smith_normal_form(a)
+    cols = [k for k in range(r) if snf.d[k][k] >= 2]
+    gens = []
+    for k in cols:
+        image = [sum(a[i][j] * snf.v[j][k] for j in range(r)) for i in range(r)]
+        if any(x % snf.d[k][k] for x in image):
+            raise AssertionError("Smith form failed to give an integer generator")
+        gens.append(tuple(x // snf.d[k][k] for x in image))
+    q = tuple(
+        tuple(Fraction(sum(x * snf.v[i][m] for i, x in enumerate(g)), snf.d[m][m])
+              for m in cols)
+        for g in gens
     )
+    form = LinkingForm(tuple(snf.d[k][k] for k in cols), q)
+    _check_form(form)
+    return r, form, tuple(gens)
 
 
 def linking_form_with_generators(l):
@@ -129,26 +147,12 @@ def linking_form_with_generators(l):
     invariant factors d_k >= 2) generate the torsion group, the k-th with
     order d_k: x lies in L0 Z^r exactly when u x lies in d Z^r.  The form
     on these generators is Q[k][m] = t(g_k) * inverse(L0) * g_m, read
-    modulo 1.  A different valid generator choice changes Q only by a
-    group automorphism, which every Gauss sum downstream is blind to.
+    modulo 1.  Neither inverse is formed: L0 v = inverse(u) d gives
+    g_k = L0 v e_k / d_k, an exact division, and inverse(L0) g_m = v e_m / d_m.
+    A different valid generator choice changes Q only by a group
+    automorphism, which every Gauss sum downstream is blind to.
     """
-    dec = block_decompose(l)
-    snf = smith_normal_form(dec.a0)
-    u_inv = int_inverse(snf.u)
-    cols = [k for k in range(dec.rank) if snf.d[k][k] >= 2]
-    factors = tuple(snf.d[k][k] for k in cols)
-    gens = tuple(tuple(u_inv[i][k] for i in range(dec.rank)) for k in cols)
-    l0_inv = rat_inverse(dec.a0) if dec.rank else ()
-    q = tuple(
-        tuple(
-            sum(g1[i] * l0_inv[i][j] * g2[j]
-                for i in range(dec.rank) for j in range(dec.rank))
-            for g2 in gens
-        )
-        for g1 in gens
-    )
-    form = LinkingForm(factors, q)
-    _check_form(form)
+    _, form, gens = _torsion_module(l)
     return form, gens
 
 
@@ -189,7 +193,11 @@ class ManifoldPresentation:
 
 def presentation(l):
     """Bundle a linking matrix with its computed invariants."""
-    return ManifoldPresentation(l, full_homology(l), linking_form(l))
+    if not is_symmetric(l):
+        raise ValueError("linking matrix must be symmetric")
+    rank, form, _ = _torsion_module(l)
+    return ManifoldPresentation(
+        l, _summary(len(l) - rank, TorsionGroup(form.factors)), form)
 
 
 def _negative_continued_fraction(p, q):
@@ -233,13 +241,16 @@ def lens_presentation(p, q):
     form of the chain agrees with it up to a group automorphism (and up to
     conjugation for the opposite orientation), which leaves all partition
     functions unchanged.
+
+    Certified without a Smith form: the chain's determinant (a continuant)
+    is +-p, and its minor without the first row and last column is
+    unitriangular, so the cokernel is cyclic of order p.
     """
     chain = lens_chain(p, q)
-    summary = full_homology(chain)
-    if p == 1:
-        form = LinkingForm((), ())
-    else:
-        if summary.torsion.factors != (p,):
-            raise AssertionError("surgery chain has the wrong torsion group")
-        form = LinkingForm((p,), ((Fraction(-q, p),),))
-    return ManifoldPresentation(chain, summary, form)
+    prev, det = 0, 1
+    for i, row in enumerate(chain):
+        prev, det = det, row[i] * det - (row[i - 1] ** 2 if i else 0) * prev
+    if abs(det) != p:
+        raise AssertionError("surgery chain has the wrong torsion group")
+    form = LinkingForm((p,), ((Fraction(-q, p),),)) if p > 1 else LinkingForm((), ())
+    return ManifoldPresentation(chain, _summary(0, TorsionGroup(form.factors)), form)

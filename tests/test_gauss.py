@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from surgeryinv import gauss
-from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, transpose
+from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, smith_normal_form, transpose
 from surgeryinv.gauss import (
     BudgetExceededError,
     CyclotomicSum,
@@ -23,7 +23,12 @@ from surgeryinv.gauss import (
     phase_mod1,
     quadratic_phase,
 )
-from surgeryinv.homology import LinkingForm, lens_presentation, presentation
+from surgeryinv.homology import (
+    LinkingForm,
+    lens_presentation,
+    linking_form_with_generators,
+    presentation,
+)
 from surgeryinv.surgery import kirby1, kirby2
 from helpers import (
     brute_radical_terms,
@@ -162,11 +167,12 @@ def test_partition_function_kirby_moves_leave_value_unchanged():
 def test_coset_representatives_are_the_box_in_mixed_radix_order():
     k0 = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
     reps, factors = coset_representatives(k0)
-    smith_factors, gens = gauss._smith_generators(k0)
-    assert smith_factors == factors
+    form, gens = linking_form_with_generators(k0)
+    assert factors == smith_normal_form(k0).invariant_factors()
+    assert factors == (1,) * (3 - form.rank) + form.factors
     box = [
         tuple(sum(g[i] * c for g, c in zip(gens, cs)) for i in range(3))
-        for cs in itertools.product(*(range(d) for d in factors))
+        for cs in itertools.product(*(range(d) for d in form.factors))
     ]
     assert reps == box
     assert coset_representatives(()) == ([()], ())
@@ -421,8 +427,8 @@ def representatives_matter(l, k0):
     det = det_int(k0)
     adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
     reps, _ = coset_representatives(k0)
-    factors, gens = gauss._smith_generators(k0)
-    shifts = [tuple(d * x for x in g) for g, d in zip(gens, factors) if d >= 2]
+    form, gens = linking_form_with_generators(k0)
+    shifts = [tuple(d * x for x in g) for g, d in zip(gens, form.factors)]
 
     def value(xs):
         # the phase t(x)(l x inverse(k0))x / 2, times 2|det|, mod 2|det|

@@ -5,9 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from surgeryinv.exactmat import det_int, direct_sum, zeros
+from surgeryinv import exactmat, gauss, homology
+from surgeryinv.exactmat import (
+    block_decompose,
+    det_int,
+    direct_sum,
+    int_inverse,
+    mat_mul,
+    rat_inverse,
+    smith_normal_form,
+    transpose,
+    zeros,
+)
+from surgeryinv.gauss import gauss_sum_over_lattice
 from surgeryinv.homology import (
+    LinkingForm,
     Group,
     TorsionGroup,
     first_homology,
@@ -183,3 +198,123 @@ def test_presentation_caches_match():
         assert man.homology == full_homology(l)
         assert man.form == linking_form(l)
         assert man.b1 == man.homology.b1
+
+
+def test_lens_presentation_takes_no_smith_form(monkeypatch):
+    def fail(a):
+        raise AssertionError("Smith form called")
+
+    monkeypatch.setattr(homology, "smith_normal_form", fail)
+    man = lens_presentation(2000, 1999)
+    assert len(man.matrix) == 1999
+    assert man.b1 == 0 and man.torsion == TorsionGroup((2000,))
+    assert man.homology.h1 == Group(0, (2000,))
+    assert man.form == LinkingForm((2000,), ((Fraction(-1999, 2000),),))
+
+
+def reference_form(l):
+    """The form as built from inverses: generators are the columns of
+    inverse(u) for d = u a0 v, and Q = t(g) inverse(a0) g."""
+    a0 = block_decompose(l).a0
+    r = len(a0)
+    snf = smith_normal_form(a0)
+    u_inv = int_inverse(snf.u)
+    cols = [k for k in range(r) if snf.d[k][k] >= 2]
+    gens = tuple(tuple(u_inv[i][k] for i in range(r)) for k in cols)
+    a0_inv = rat_inverse(a0) if r else ()
+    q = tuple(
+        tuple(sum(g[i] * a0_inv[i][j] * h[j] for i in range(r) for j in range(r))
+              for h in gens)
+        for g in gens
+    )
+    return LinkingForm(tuple(snf.d[k][k] for k in cols), q), gens
+
+
+def reference_lattice_sum(l, k0, sign):
+    """The lattice sum on the reference generators, paired by the adjugate
+    of k0 modulo 2|det k0|, with the determinant's sign folded in."""
+    form, gens = reference_form(k0)
+    det = det_int(k0)
+    s = len(k0)
+    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
+    gram = tuple(
+        tuple(sum(g[i] * adj[i][j] * h[j] for i in range(s) for j in range(s))
+              % (2 * abs(det)) for h in gens)
+        for g in gens
+    )
+    module = gauss._QuadraticModule(form.factors, gram, 2 * abs(det))
+    return gauss._gauss_sum(l, module, sign * (1 if det > 0 else -1), None)
+
+
+def draw_symmetric(draw, size, entries):
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=4):
+    """t(b) s b for a random integer r x n matrix b and symmetric s:
+    singular whenever r < n or b has dependent rows."""
+    n = draw(st.integers(1, max_size))
+    r = draw(st.integers(0, n))
+    entries = st.integers(-4, 4)
+    if r == 0:
+        return zeros(n, n)
+    b = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(r))
+    return mat_mul(transpose(b), mat_mul(draw_symmetric(draw, r, entries), b))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_matrices(), st.data())
+def test_inverse_free_form_equals_the_reference(l, data):
+    form, gens = linking_form_with_generators(l)
+    ref_form, ref_gens = reference_form(l)
+    assert gens == ref_gens
+    assert form == ref_form
+    assert all(type(x) is Fraction for row in form.q for x in row)
+    assert presentation(l).homology == full_homology(l)
+    if det_int(l) != 0 and form.order <= 60:
+        summand = draw_symmetric(data.draw, data.draw(st.integers(1, 2)),
+                                 st.integers(-3, 3))
+        sign = data.draw(st.sampled_from([1, -1]))
+        assert (gauss_sum_over_lattice(summand, l, sign)
+                == reference_lattice_sum(summand, l, sign))
+
+
+def count_calls(monkeypatch, name, forbid=False):
+    """Count calls of exactmat's `name` from every surgeryinv module that
+    binds it; with forbid, any call fails the test."""
+    original = getattr(exactmat, name)
+    calls = []
+
+    def counted(*args):
+        if forbid:
+            raise AssertionError(f"{name} called")
+        calls.append(args)
+        return original(*args)
+
+    for mod in (exactmat, homology, gauss):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_one_smith_form_per_block_and_no_inverse(monkeypatch):
+    for name in ("rat_inverse", "int_inverse"):
+        count_calls(monkeypatch, name, forbid=True)
+    calls = count_calls(monkeypatch, "smith_normal_form")
+    nonsingular = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
+    singular = ((1, 2, 1), (2, -6, 2), (1, 2, 1))
+    for l, snfs in ((nonsingular, 1), (singular, 2)):
+        calls.clear()
+        presentation(l)
+        assert len(calls) == snfs
+        calls.clear()
+        linking_form_with_generators(l)
+        assert len(calls) == snfs
+    calls.clear()
+    gauss_sum_over_lattice(((2,),), nonsingular, +1)
+    assert len(calls) == 1
