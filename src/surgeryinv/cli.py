@@ -258,8 +258,7 @@ def cmd_partition(args):
     }
     lines = [
         "phases (num/den multiplicity):",
-        *[f"  {p}/{q} {m}" for (p, q), m in
-          (((ph.numerator, ph.denominator), mu) for ph, mu in z.items())],
+        *[f"  {ph} {m}" for ph, m in doc["phases"]],
         f"value = {doc['value']['re']} + {doc['value']['im']} i",
     ]
     if man.b1 > 0:

@@ -224,13 +224,16 @@ def lens_chain(p, q):
     q = q % p if p > 1 else 1
     terms = _negative_continued_fraction(p, q)
     k = len(terms)
-    return tuple(
-        tuple(
-            -terms[i] if i == j else (1 if abs(i - j) == 1 else 0)
-            for j in range(k)
-        )
-        for i in range(k)
-    )
+    rows = []
+    for i, a in enumerate(terms):
+        row = [0] * k
+        row[i] = -a
+        if i:
+            row[i - 1] = 1
+        if i + 1 < k:
+            row[i + 1] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def lens_presentation(p, q):

@@ -65,6 +65,11 @@ def test_partition_worked_example(tmp_path, capsys):
     assert doc["value"]["re"].startswith("2.0")
     assert doc["metadata"]["invariant_factors"] == [2]
     assert doc["metadata"]["normalization_caveat"] is False
+    code, out, _ = run_cli(
+        capsys, ["partition", "--coupling", c, "--manifold", "lens:2,1"]
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[:3] == ["phases (num/den multiplicity):", "  0/1 3", "  1/2 1"]
 
 
 def test_partition_caveat_flag(tmp_path, capsys):

@@ -311,10 +311,15 @@ def test_gauss_sum_errors():
 def test_eval_numeric_basics():
     one = eval_numeric(CyclotomicSum({Fraction(0): 1}))
     assert complex(one) == 1 + 0j
+    assert (one.re, one.im) == (1, 0)
     i = eval_numeric(CyclotomicSum({Fraction(1, 4): 1}))
     assert abs(complex(i) - 1j) < 1e-30
     empty = eval_numeric(CyclotomicSum())
     assert complex(empty) == 0j
+    assert (empty.re, empty.im) == (0, 0)
+    quarters = eval_numeric(CyclotomicSum(
+        {Fraction(1, 4): 3, Fraction(1, 2): -2, Fraction(3, 4): 1}))
+    assert (quarters.re, quarters.im) == (2, 2)
 
 
 def test_conjugate():
@@ -554,3 +559,120 @@ def test_budget_bounds_each_convolution_step():
     # the same holds for the lattice sums: the quotient Z_(p q) with n = 1
     with pytest.raises(BudgetExceededError, match="convolving"):
         gauss_sum_over_lattice(((2,),), ((p * q,),), 1, budget=10**5)
+
+
+def assert_within_readout_bound(value, s, precision):
+    """Each component within 2 * 2^-precision * max(1, |ref|) of ref, the
+    per-phase expjpi sum at 2 * precision + 64 bits."""
+    assert value.precision == precision
+    with mp.workprec(2 * precision + 64):
+        re = im = mp.mpf(0)
+        for phase, mult in s.items():
+            z = mp.expjpi(2 * mp.mpf(phase.numerator) / phase.denominator)
+            re += mult * z.real
+            im += mult * z.imag
+        bound = 2 * mp.mpf(2) ** -precision * max(1, mp.hypot(re, im))
+        assert abs(value.re - re) <= bound
+        assert abs(value.im - im) <= bound
+
+
+@st.composite
+def readout_cases(draw):
+    """(sum, precision): dense sums with L <= 5000, mid-size ones with
+    L <= 10^9, sparse ones with L ~ 10^30 and at most 60 phases, and sums
+    whose denominators share nothing; multiplicities of both signs."""
+    kind = draw(st.sampled_from(["dense", "mid", "sparse", "unrelated"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "dense":
+        den = rng.randint(1, 5000)
+        terms = [(Fraction(rng.randrange(den), den), rng.randint(-1000, 1000))
+                 for _ in range(rng.randint(1, min(den, 1500)))]
+    elif kind == "mid":
+        den = rng.randint(1, 10**9)
+        terms = [(Fraction(rng.randrange(den), den), rng.randint(-10**6, 10**6))
+                 for _ in range(rng.randint(1, 300))]
+    elif kind == "sparse":
+        den = rng.randint(10**29, 10**31)
+        terms = []
+        for _ in range(rng.randint(1, 60)):
+            d = den // rng.choice([1, 2, 3, 7])
+            terms.append((Fraction(rng.randrange(d), d), rng.randint(-5, 5)))
+    else:
+        terms = []
+        for _ in range(rng.randint(1, 60)):
+            d = rng.randint(1, 10**9)
+            terms.append((Fraction(rng.randrange(d), d), rng.randint(-5, 5)))
+    return CyclotomicSum(terms), draw(st.sampled_from([53, 128, 256]))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(readout_cases())
+def test_readout_is_within_its_error_bound(case):
+    s, precision = case
+    assert_within_readout_bound(eval_numeric(s, precision), s, precision)
+
+
+def test_readout_takes_one_transcendental_per_sum(monkeypatch):
+    calls = []
+    expjpi = gauss.mp.expjpi
+
+    def counting(x):
+        calls.append(x)
+        return expjpi(x)
+
+    monkeypatch.setattr(gauss.mp, "expjpi", counting)
+    rng = random.Random(5000)
+    dense = CyclotomicSum(
+        {Fraction(k, 5000): rng.choice([-3, -1, 1, 2]) for k in range(5000)})
+    sparse_den = 10**30 + 57
+    sparse = CyclotomicSum(
+        {Fraction(rng.randrange(sparse_den), sparse_den): rng.randint(1, 9)
+         for _ in range(60)})
+    for s in (dense, sparse):
+        calls.clear()
+        eval_numeric(s, 256)
+        assert len(calls) <= 1
+    calls.clear()
+    eval_numeric(CyclotomicSum({Fraction(0): 4}), 256)
+    assert calls == []
+
+
+def test_unrelated_denominators_split_into_bounded_roots(monkeypatch):
+    roots = []
+    walk = gauss._root_walk
+
+    def recording(den, residues, width):
+        roots.append(den)
+        return walk(den, residues, width)
+
+    monkeypatch.setattr(gauss, "_root_walk", recording)
+    rng = random.Random(300)
+    dens = [rng.randint(2, 10**9) for _ in range(100)]
+    s = CyclotomicSum((Fraction(rng.randrange(1, d), d), 1) for d in dens)
+    value = eval_numeric(s, 128)
+    assert all(d.bit_length() <= 128 for d in roots)
+    assert len(roots) < len(s)
+    assert_within_readout_bound(value, s, 128)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_items_order_and_private_constructor(seed, flip):
+    rng = random.Random(seed)
+    dens = [rng.randint(1, 10**rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+    terms = {}
+    for _ in range(rng.randint(0, 40)):
+        d = rng.choice(dens)
+        terms[Fraction(rng.randrange(d), d)] = rng.choice([-2, -1, 1, 3])
+    s = CyclotomicSum(terms)
+    assert s.items() == tuple(sorted(terms.items()))
+
+    modulus = rng.randint(1, 10**6)
+    counts = {rng.randrange(modulus): rng.choice([-4, -1, 1, 7])
+              for _ in range(rng.randint(0, 30))}
+    built = gauss._counts_to_sum(counts, modulus, flip)
+    sign = -1 if flip else 1
+    public = CyclotomicSum((Fraction(sign * k, modulus), v) for k, v in counts.items())
+    assert built == public
+    assert built.items() == public.items()
+    assert repr(built) == repr(public)

@@ -156,6 +156,25 @@ def test_lens_chain():
         lens_chain(0, 1)
 
 
+def test_lens_chain_equals_the_entrywise_construction():
+    rng = random.Random(1999)
+    cases = [(1, 1), (2, 1)]
+    while len(cases) < 60:
+        p = rng.randint(1, 400)
+        q = rng.randint(1, p)
+        if math.gcd(p, q) == 1:
+            cases.append((p, q))
+    for p, q in cases:
+        terms = homology._negative_continued_fraction(p, q % p if p > 1 else 1)
+        k = len(terms)
+        entrywise = tuple(
+            tuple(-terms[i] if i == j else (1 if abs(i - j) == 1 else 0)
+                  for j in range(k))
+            for i in range(k)
+        )
+        assert lens_chain(p, q) == entrywise
+
+
 def test_lens_presentation():
     man = lens_presentation(2, 1)
     assert man.torsion == TorsionGroup((2,))

@@ -52,7 +52,7 @@ def test_reciprocity_empty():
     report = reciprocity_sides((), ())
     assert complex(report.lhs) == 1 + 0j
     assert complex(report.rhs) == 1 + 0j
-    assert float(report.abs_diff) == 0.0
+    assert report.abs_diff == 0
 
 
 def test_reciprocity_random_pairs():
