@@ -25,14 +25,27 @@ orders, an integer Gram matrix and a modulus, read off the linking form
 of the manifold or of the lattice sum's modulus matrix.  When each term
 depends only on the group element, the module splits orthogonally into
 p-primary blocks and the phase histogram over T^n is the cyclic
-convolution of the block histograms: sum over p of |T_p|^n summands, not
-|T|^n, plus the convolution, whose steps cost at most the product of the
-key counts of the blocks so far times the next block's.  The term budget bounds every
-enumerated block and every convolution step.
+convolution of the block histograms, whose steps cost at most the product
+of the key counts of the blocks so far times the next block's.  No block
+is enumerated.  A block's key is a quadratic form on T_p^n; symmetric
+elimination over Z/p^m (p^m the p-part of the modulus) splits it into
+Jordan summands of rank 1, and for p = 2 also of rank 2 (Wall; Conway-
+Sloane, SPLAG ch. 15).  Each rank-1 summand is enumerated, at most p^e
+values for a block of exponent p^e; each rank-2 summand has a closed form
+with at most 2^e keys.  Scaling u by a unit multiplies every key by a
+unit square, so every histogram is a function of its key's class under
+unit squares (2m + 1 classes for odd p, about 4m for p = 2), and each
+convolution of summands is evaluated at one representative per class and
+then expanded over Z/p^m.  A block thus costs about |T_p| work rather
+than |T_p|^n.  When a term depends on the fixed representatives (an odd
+summand matrix over an odd modulus matrix), the whole box is enumerated,
+|T|^n summands.  The term budget bounds |T_p|^n, the number of summands
+each block stands for, and every convolution step of the blocks.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,10 +75,12 @@ class CyclotomicSum:
     multiplicities are never stored.  Equality is structural (same phases,
     same multiplicities); value comparisons across differently-built sums
     go through eval_numeric, since no canonicalization by vanishing
-    root-of-unity relations is attempted.
+    root-of-unity relations is attempted.  A sum the engine builds keeps
+    its integer keys over one modulus and makes its Fraction phases only
+    when they are asked for.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_phases", "_counts", "_modulus")
 
     def __init__(self, terms=()):
         clean = {}
@@ -79,35 +94,55 @@ class CyclotomicSum:
                 clean[p] = m
             else:
                 del clean[p]
-        self._terms = clean
+        self._phases = clean
+        self._counts = self._modulus = None
 
     @classmethod
-    def _from_reduced(cls, terms):
-        """Wrap a dict of distinct phases already in [0, 1) with nonzero
-        multiplicities, skipping the cleaning pass of the constructor."""
+    def _from_counts(cls, counts, modulus):
+        """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], for
+        distinct keys k in [0, modulus) with nonzero counts."""
         s = cls.__new__(cls)
-        s._terms = terms
+        s._phases, s._counts, s._modulus = None, counts, modulus
         return s
+
+    @property
+    def _terms(self):
+        """Phase -> multiplicity, the phases reduced Fractions in [0, 1)."""
+        if self._phases is None:
+            m = self._modulus
+            self._phases = {Fraction(k, m): v for k, v in self._counts.items()}
+        return self._phases
+
+    @property
+    def _mults(self):
+        """The multiplicities, keyed by phase or by integer key."""
+        return self._phases if self._counts is None else self._counts
 
     def items(self):
         """Term list sorted by phase; the canonical iteration order."""
-        den = math.lcm(*{p.denominator for p in self._terms})
+        if self._counts is not None:
+            m = self._modulus
+            return tuple((Fraction(k, m), v) for k, v in sorted(self._counts.items()))
+        den = math.lcm(*{p.denominator for p in self._phases})
         return tuple(sorted(
-            self._terms.items(),
+            self._phases.items(),
             key=lambda t: t[0].numerator * (den // t[0].denominator),
         ))
 
     @property
     def total_multiplicity(self):
-        return sum(self._terms.values())
+        return sum(self._mults.values())
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicSum):
             return NotImplemented
+        if self._counts is not None and other._counts is not None \
+                and self._modulus == other._modulus:
+            return self._counts == other._counts
         return self._terms == other._terms
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._mults)
 
     def __repr__(self):
         inner = ", ".join(f"{p}: {m}" for p, m in self.items())
@@ -165,9 +200,36 @@ def eval_numeric(s, precision=128):
     1.02 * 2^-precision * max(1, |value|).  A sum with L = 1, 2 or 4, such
     as the empty sum or {0: 1}, comes out exact.
     """
+    mults = s._mults
+    slack = (precision + len(mults).bit_length()
+             + sum(abs(m) for m in mults.values()).bit_length() + 8)
+    re = im = width = 0
+    for den, res in _root_groups(s):
+        w = slack + 2 * den.bit_length()
+        part_re, part_im = _root_walk(den, sorted(res), w)
+        if w > width:
+            re, im, width = re << (w - width), im << (w - width), w
+        re += part_re << (width - w)
+        im += part_im << (width - w)
+    with mp.workprec(precision):
+        return ComplexValue(mp.mpf((re, -width)), mp.mpf((im, -width)), precision)
+
+
+def _root_groups(s):
+    """The phases of s as residues over a few roots: a list of pairs
+    (L, [(k, mult), ...]), each phase being k/L.
+
+    Phases are grouped by increasing denominator while the lcm L of the
+    group stays within _ROOT_BITS bits.  A sum the engine built has one
+    modulus M; its phases' lcm is M / gcd(M, keys), and when that fits one
+    root it is read from the integer keys, the same group the phases give.
+    """
+    if s._counts is not None:
+        g = math.gcd(s._modulus, *s._counts)
+        den = s._modulus // g
+        if den.bit_length() <= _ROOT_BITS:
+            return [(den, [(k // g, m) for k, m in s._counts.items()])]
     terms = s._terms
-    slack = (precision + len(terms).bit_length()
-             + sum(abs(m) for m in terms.values()).bit_length() + 8)
     roots = []
     group = {}
     for d in sorted({p.denominator for p in terms}):
@@ -180,16 +242,7 @@ def eval_numeric(s, precision=128):
     for p, m in terms.items():
         i = group[p.denominator]
         residues[i].append((p.numerator * (roots[i] // p.denominator), m))
-    re = im = width = 0
-    for den, res in zip(roots, residues):
-        w = slack + 2 * den.bit_length()
-        part_re, part_im = _root_walk(den, sorted(res), w)
-        if w > width:
-            re, im, width = re << (w - width), im << (w - width), w
-        re += part_re << (width - w)
-        im += part_im << (width - w)
-    with mp.workprec(precision):
-        return ComplexValue(mp.mpf((re, -width)), mp.mpf((im, -width)), precision)
+    return list(zip(roots, residues))
 
 
 def _root_walk(den, residues, width):
@@ -266,32 +319,29 @@ def exponent_phase(k, form, u):
     return quadratic_phase(k, form, u)
 
 
-def _accumulate_counts(coeff, gram, diag, radix, modulus, ncopies):
+def _accumulate_counts(coeff, row, diag, radix, modulus, ncopies):
     """Histogram of t(x)(coeff x G)x mod modulus over all index tuples.
 
-    gram[a][b] is the pairing of representatives a and b, already reduced
-    mod modulus; diag[a] = gram[a][a].  coeff is symmetric ncopies x
-    ncopies.  Returns a dict residue -> count.
+    row(a) lists the pairings of representative a with every
+    representative, already reduced mod modulus; diag[a] is the pairing of
+    a with itself.  coeff is symmetric ncopies x ncopies.  Returns a dict
+    residue -> count.
     """
-    counts = {}
+    counts = Counter()
     rng = range(radix)
     if ncopies == 1:
         w = coeff[0][0] % modulus
-        for a in rng:
-            key = (w * diag[a]) % modulus
-            counts[key] = counts.get(key, 0) + 1
+        counts.update(w * x % modulus for x in diag)
     elif ncopies == 2:
         w00 = coeff[0][0] % modulus
         w01 = (2 * coeff[0][1]) % modulus
         w11 = coeff[1][1] % modulus
         d1 = [(w11 * diag[b]) % modulus for b in rng]
         for a in rng:
-            ga = gram[a]
             base = w00 * diag[a]
-            for b in rng:
-                key = (base + w01 * ga[b] + d1[b]) % modulus
-                counts[key] = counts.get(key, 0) + 1
+            counts.update((base + w01 * x + y) % modulus for x, y in zip(row(a), d1))
     else:
+        gram = [row(a) for a in rng]
         for combo in itertools.product(rng, repeat=ncopies):
             tot = 0
             for i in range(ncopies):
@@ -299,9 +349,8 @@ def _accumulate_counts(coeff, gram, diag, radix, modulus, ncopies):
                 tot += coeff[i][i] * gi[combo[i]]
                 for j in range(i + 1, ncopies):
                     tot += 2 * coeff[i][j] * gi[combo[j]]
-            key = tot % modulus
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+            counts[tot % modulus] += 1
+    return dict(counts)
 
 
 def _counts_to_sum(counts, modulus, flip):
@@ -309,9 +358,7 @@ def _counts_to_sum(counts, modulus, flip):
     given counts; keys are distinct residues in [0, modulus), counts nonzero."""
     if flip:
         counts = {(modulus - k) % modulus: v for k, v in counts.items()}
-    return CyclotomicSum._from_reduced(
-        {Fraction(k, modulus): v for k, v in counts.items()}
-    )
+    return CyclotomicSum._from_counts(counts, modulus)
 
 
 def _check_budget(radix, ncopies, budget):
@@ -366,19 +413,23 @@ def _key_is_well_defined(coeff, module):
 def _coprime_parts(x, ncopies, budget):
     """Pairwise coprime factors of x: its prime powers, by trial division.
 
-    Division stops once p**ncopies exceeds the budget: what is left then
-    has only prime factors >= p, so any block built from it fails the
-    budget check, and it is returned as one part.
+    Division stops once what is left is a prime that _certified_prime
+    certifies, or once p**ncopies exceeds the budget: what is left then has
+    only prime factors >= p, so any block built from it fails the budget
+    check, and it is returned as one part.  A prime left over after the
+    small factors, below 3.3 * 10^24, is thus returned at once.
     """
     parts = []
     p = 2
-    while p * p <= x and p**ncopies <= budget:
+    done = _certified_prime(x)
+    while not done and p * p <= x and p**ncopies <= budget:
         if x % p == 0:
             q = 1
             while x % p == 0:
                 x //= p
                 q *= p
             parts.append(q)
+            done = _certified_prime(x)
         p += 1 if p == 2 else 2
     if x > 1:
         parts.append(x)
@@ -409,29 +460,270 @@ def _primary_blocks(module, ncopies, budget):
 
 def _block_counts(coeff, module):
     """Histogram key -> count of t(u)(coeff x gram)u mod modulus over the
-    whole box of the module to the power len(coeff)."""
+    whole box of the module to the power len(coeff), summand by summand.
+
+    This is the path for a key that depends on the fixed representatives,
+    and the oracle the Jordan path is tested against.  The pairings of a
+    representative with all the others are built as they are needed, one
+    row at a time, so two copies take memory linear in the order; three or
+    more copies hold the whole table, which the budget keeps under
+    budget^(2/3) entries.
+    """
     factors, g, modulus = module.factors, module.gram, module.modulus
-    radix = module.order
-    n = len(coeff)
-    reps = list(itertools.product(*(range(p) for p in factors)))
     t = len(factors)
+    reps = list(itertools.product(*(range(p) for p in factors)))
+    cols = list(zip(*reps))
 
-    def pair(x, y):
-        return sum(
-            x[a] * g[a][b] * y[b] for a in range(t) for b in range(t)
-        ) % modulus
+    def row(a):
+        xg = [sum(x * ga[b] for x, ga in zip(reps[a], g)) for b in range(t)]
+        out = [0] * len(reps)
+        for c, col in zip(xg, cols):
+            out = [u + c * y for u, y in zip(out, col)]
+        return [u % modulus for u in out]
 
-    diag = [pair(x, x) for x in reps]
-    gram = None
-    if n >= 2:
-        gram = [[0] * radix for _ in range(radix)]
-        for a in range(radix):
-            gram[a][a] = diag[a]
-            for b in range(a + 1, radix):
-                v = pair(reps[a], reps[b])
-                gram[a][b] = v
-                gram[b][a] = v
-    return _accumulate_counts(coeff, gram, diag, radix, modulus, n)
+    diag = [
+        sum(x[a] * g[a][b] * x[b] for a in range(t) for b in range(t)) % modulus
+        for x in reps
+    ]
+    return _accumulate_counts(coeff, row, diag, len(reps), modulus, len(coeff))
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Sorenson-Webster: every composite below this fails Miller-Rabin to one
+# of the bases above
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _certified_prime(x):
+    """Whether x is prime, by Miller-Rabin on the prime bases up to 41.
+
+    The answer is exact below _MR_LIMIT; above it nothing is certified and
+    the answer is False.
+    """
+    if x < 2 or x >= _MR_LIMIT:
+        return False
+    if x in _MR_BASES:
+        return True
+    if any(x % b == 0 for b in _MR_BASES):
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        y = pow(b, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(x, k):
+    """Floor of the k-th root of x >= 1, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_base(x):
+    """The prime p with x = p^k, k >= 1, or None when x is not a power of
+    a prime that _certified_prime certifies."""
+    for k in range(x.bit_length() - 1, 0, -1):
+        r = _iroot(x, k)
+        if r**k == x:
+            return r if _certified_prime(r) else None
+    return None
+
+
+def _valuation(x, p, cap):
+    """Exponent of p in the integer x, at most cap (so 0 has valuation cap)."""
+    v = 0
+    while v < cap and x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _jordan_summands(s, p, m):
+    """Split the form t(x) s x mod p^m into orthogonal Jordan summands.
+
+    s is a symmetric integer matrix, reduced mod p^m and overwritten.
+    Symmetric elimination takes a pivot of least valuation: a diagonal
+    entry gives a rank-1 summand c x^2; for odd p an off-diagonal pivot
+    e_a, e_b is first turned into the diagonal one of e_a + e_b; for p = 2
+    it gives a rank-2 summand c00 x^2 + 2 c01 x y + c11 y^2 with c01 of
+    valuation v and c00, c11 of higher valuation.  The eliminating change
+    of basis is unimodular over Z, so it permutes (Z/p^e)^N for every e.
+    Returns (v, entries of the pivot block) per summand; what remains when
+    every entry is 0 mod p^m adds nothing to the key and is left out.
+    """
+    big = p**m
+    live = list(range(len(s)))
+    out = []
+    while live:
+        diag = min(live, key=lambda a: _valuation(s[a][a], p, m))
+        vd = _valuation(s[diag][diag], p, m)
+        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+        off = min(pairs, key=lambda ab: _valuation(s[ab[0]][ab[1]], p, m), default=None)
+        vo = _valuation(s[off[0]][off[1]], p, m) if off else m
+        v = min(vd, vo)
+        if v >= m:
+            break
+        if vd == v:
+            pivots = (diag,)
+        elif p == 2:
+            pivots = off
+        else:
+            a, b = off
+            s[a][a] = (s[a][a] + 2 * s[a][b] + s[b][b]) % big
+            for c in live:
+                if c != a:
+                    s[a][c] = s[c][a] = (s[a][c] + s[b][c]) % big
+            pivots = (a,)
+        q = p**v
+        blk = [[s[a][b] // q for b in pivots] for a in pivots]
+        if len(pivots) == 1:
+            adj, det = ((1,),), blk[0][0]
+        else:
+            (b00, b01), (_, b11) = blk
+            adj, det = ((b11, -b01), (-b01, b00)), b00 * b11 - b01 * b01
+        inv = pow(det, -1, big)
+        live = [c for c in live if c not in pivots]
+        for c in live:
+            x = [s[c][a] // q for a in pivots]
+            f = [sum(xi * adj[i][j] for i, xi in enumerate(x)) * inv % big
+                 for j in range(len(pivots))]
+            for d in live:
+                s[c][d] = (s[c][d] - sum(fj * s[a][d] for fj, a in zip(f, pivots))) % big
+        out.append((v, tuple(s[a][b] for a in pivots for b in pivots)))
+    return out
+
+
+def _summand_counts(v, entries, p, m, e):
+    """Histogram over Z/p^m of one Jordan summand of valuation v on its
+    box (Z/p^h)^rank, h = min(m - v, e), and that h.
+
+    The summand is periodic mod p^(m - v) and, being a summand of a key on
+    a group of exponent p^e, mod p^e, so its box of side p^h covers
+    (Z/p^e)^rank evenly.  A rank-1 summand is enumerated: p^h values.  A
+    rank-2 summand 2^v (a x^2 + 2 b x y + c y^2), b odd, a and c even, is
+    over the 2-adic integers 2^(v+1) x y when a c - b^2 = 7 mod 8 and
+    2^(v+1) (x^2 + x y + y^2) when it is 3 mod 8 (Conway-Sloane, SPLAG
+    ch. 15), and its key 2^(v+1) w depends on w mod 2^k, k = m - v - 1 <= h.
+    Over (Z/2^k)^2, x y takes w of valuation t < k (t + 1) 2^(k-1) times,
+    and 0 k 2^(k-1) + 2^k times; x^2 + x y + y^2, whose norm map onto the
+    2-adic units is onto, takes w of even valuation 3 2^(k-1) times, w of
+    odd valuation never, and 0 4^floor(k/2) times.  That is 2^k keys.
+    """
+    big = p**m
+    h = min(m - v, e)
+    if len(entries) == 1:
+        c = entries[0]
+        return Counter(c * y * y % big for y in range(p**h)), h
+    a, b, _, c = (x >> v for x in entries)
+    k = m - v - 1
+    lift = 4 ** (h - k)
+    hyperbolic = (a * c - b * b) % 8 == 7
+    out = {0: lift * ((k << k >> 1) + (1 << k) if hyperbolic else 4 ** (k // 2))}
+    for w in range(1, 1 << k):
+        t = _valuation(w, 2, k)
+        if hyperbolic:
+            out[w << (v + 1)] = lift * ((t + 1) << k >> 1)
+        elif t % 2 == 0:
+            out[w << (v + 1)] = lift * (3 << k >> 1)
+    return out, h
+
+
+def _square_classes(p, m):
+    """Classes of Z/p^m under multiplication by the squares of units.
+
+    Returns the class index of every residue and one representative per
+    class.  0 is a class; p^v w with w a unit falls in one of 2 classes for
+    odd p (w a square mod p or not), and for p = 2 in one of up to 4 (w mod
+    8, as far as p^(m-v) can tell): 2m + 1 classes for odd p, about 4m for
+    p = 2.
+    """
+    label = [0] * p**m
+    reps = [0]
+    if p > 2:
+        square = bytearray(p)
+        for y in range(1, p):
+            square[y * y % p] = 1
+        units = (1, square.index(0, 1))
+        sub = [0] + [1 - square[w] for w in range(1, p)]
+    for v in range(m):
+        q, r = p**v, p ** (m - v)
+        if p == 2:
+            period = min(8, r)
+            units = (1, 3, 5, 7)[:period // 2]
+            sub = [(w % 8) >> 1 for w in range(period)]
+        else:
+            period = p
+        base = len(reps)
+        reps.extend(q * w for w in units)
+        # multiples of p q are set again at the next v, and 0 at the end
+        label[::q] = [base + i for i in sub] * (r // period)
+    label[0] = 0
+    return label, reps
+
+
+def _jordan_counts(coeff, block):
+    """Histogram of a p-primary block's key from its Jordan form, without
+    enumerating the block; None when the block's exponent is not a
+    certified prime power.
+
+    The key mod p^m (p^m the p-part of the modulus) is a quadratic form in
+    the N = len(coeff) * len(factors) coordinates, periodic mod p^e in
+    each, p^e the block's exponent; the rest of the modulus divides every
+    key.  Summed over the uniform box (Z/p^e)^N, which covers the block's
+    box p^(N e - sum of exponents) times, the form splits into Jordan
+    summands (_jordan_summands) whose histograms (_summand_counts)
+    convolve.  Scaling u by a unit lambda multiplies every key by lambda^2,
+    so each histogram is a function of the class of its key under unit
+    squares (_square_classes), and so is each convolution: it is evaluated
+    at one representative per class, O(classes x summand keys) products,
+    and expanded over Z/p^m.  The result goes back over the modulus by the
+    Chinese remainder theorem, with no zero count stored.
+    """
+    p = _prime_base(math.lcm(*block.factors))
+    if p is None:
+        return None
+    modulus, g = block.modulus, block.gram
+    m = _valuation(modulus, p, modulus.bit_length())
+    big = p**m
+    exps = [_valuation(f, p, f.bit_length()) for f in block.factors]
+    t = len(exps)
+    form = [[coeff[i][j] * g[a][b] % big for j in range(len(coeff)) for b in range(t)]
+            for i in range(len(coeff)) for a in range(t)]
+    shift = len(coeff) * sum(exps)  # log_p of the block's box over the summands' boxes
+    parts = []
+    for v, entries in _jordan_summands(form, p, m):
+        counts, h = _summand_counts(v, entries, p, m, max(exps))
+        shift -= h if len(entries) == 1 else 2 * h
+        parts.append(counts)
+    parts.sort(key=len, reverse=True)
+    if len(parts) <= 1:
+        total = parts[0] if parts else {0: 1}
+    else:
+        label, reps = _square_classes(p, m)
+        hist = [0] * big
+        for k, c in parts[0].items():
+            hist[k] = c
+        for counts in parts[1:]:
+            at = [sum(c * hist[(r - y) % big] for y, c in counts.items()) for r in reps]
+            hist = [at[i] for i in label]
+        total = {k: c for k, c in enumerate(hist) if c}
+    rest = modulus // big
+    lift = rest * pow(rest, -1, big) % modulus  # 1 mod p^m, 0 mod the rest
+    if shift >= 0:
+        return {k * lift % modulus: c * p**shift for k, c in total.items()}
+    return {k * lift % modulus: c // p**-shift for k, c in total.items()}
 
 
 def _key_bound(coeff, block):
@@ -483,27 +775,39 @@ def _gauss_sum(coeff, module, sign, budget):
     When the key is a function on the group, the group is the orthogonal
     sum of its p-primary blocks (Wall), so the key of u is the sum of the
     keys of its block components and the histogram over the whole box is
-    the cyclic convolution of the block histograms: sum over p of |T_p|^n
-    summands instead of |T|^n, plus the convolution steps.  Otherwise the
-    value depends on the fixed representatives and the whole box is
-    enumerated as one block.  Every block and every convolution step is
-    held to the budget before any block is enumerated.
+    the cyclic convolution of the block histograms.  No block is
+    enumerated: each block's histogram comes from the Jordan form of its
+    key (_jordan_counts), at a cost of about |T_p| per block rather than
+    |T_p|^n: the elimination on an N x N matrix, N = n times the block's
+    rank; p^h values for each rank-1 summand of level h <= e, p^e the
+    block's exponent; one product per summand key and class of Z/p^m under
+    unit squares (2m + 1 classes for odd p, about 4m for p = 2) for each
+    convolution of summands; and p^m for each expansion over Z/p^m, p^m
+    the p-part of the modulus.  Otherwise the value depends on the fixed
+    representatives and the whole box is enumerated as one block, |T|^n
+    summands.
+
+    The budget bounds |T_p|^n, the number of summands each block stands
+    for, whether it is counted or enumerated, and every convolution step
+    of the blocks, all checked before any block is counted; the Jordan
+    path's work on a block stays within a small multiple of its |T_p|^n.
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if n == 0 or module.order == 1:
         _check_budget(1, 1, budget)
         return CyclotomicSum({Fraction(0): 1})
-    if _key_is_well_defined(coeff, module):
-        blocks = _primary_blocks(module, n, budget)
-    else:
-        blocks = [module]
+    well_defined = _key_is_well_defined(coeff, module)
+    blocks = _primary_blocks(module, n, budget) if well_defined else [module]
     for block in blocks:
         _check_budget(block.order, n, budget)
     _check_convolution([_key_bound(coeff, b) for b in blocks], module.modulus, budget)
-    counts = _block_counts(coeff, blocks[0])
-    for block in blocks[1:]:
-        counts = _convolve(counts, _block_counts(coeff, block), module.modulus)
+    counts = None
+    for block in blocks:
+        part = _jordan_counts(coeff, block) if well_defined else None
+        if part is None:
+            part = _block_counts(coeff, block)
+        counts = part if counts is None else _convolve(counts, part, module.modulus)
     return _counts_to_sum(counts, module.modulus, flip=sign < 0)
 
 

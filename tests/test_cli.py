@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -258,3 +259,35 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "torsion = 5" in proc.stdout
+
+
+# sha256 of stdout, recorded before the Jordan block path replaced block
+# enumeration: the path must not change a byte of the output
+HIDDEN_4_12_12 = ((16, 20, 0), (20, 40, -12), (0, -12, 12))  # t(g) diag(4, 12, 12) g
+GOLDEN = [
+    (["partition", "--json"], ((1, 2), (0, 3)), "lens:2000,3",
+     "eac146f010bdefd006d301d24c9fb6a679b916e7e601c3dbacad6254c9bb1211"),
+    (["partition", "--json"], ((1, 0, 2, 0), (1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 3)),
+     "lens:16,5", "836cab066aef6744849ed0f733da2b2d533ca1e1350172b8053b3a770bfd23fe"),
+    (["partition", "--json"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
+     "3acba387e2bbd7215973461070a6c5e936e812795ac01684f070b2d01e8b950e"),
+    (["partition", "--json"], ((2, 1), (0, 1)), HIDDEN_4_12_12,
+     "87a322ff0fd248535770cbca5b797fe2153f5ed072b2217ec36b489c057613c9"),
+    # even pairs with cokernels Z_419 and Z_431, then Z_1999 and Z_2011
+    (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 210)), ((2, 1), (1, 216)),
+     "592137e80d6ac87990af8fc05a8cc4d3477792fcfcffa0f99a90cb92b15ae881"),
+    (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 1000)), ((-2, 1), (1, -1006)),
+     "257c3dc025320554330bf9363caeb06831b7dc4ece0569c149fae39f9f98280e"),
+]
+
+
+@pytest.mark.parametrize("argv, a, b, digest", GOLDEN, ids=range(len(GOLDEN)))
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
+    if argv[0] == "partition":
+        manifold = b if isinstance(b, str) else write(tmp_path, "m.txt", b)
+        argv = argv + ["--coupling", write(tmp_path, "c.txt", a), "--manifold", manifold]
+    else:
+        argv = argv + ["--l", write(tmp_path, "l.txt", a), "--k", write(tmp_path, "k.txt", b)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -19,3 +19,17 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_tour_prints_what_its_comments_say():
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    tour = tour.split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip()
+                for line in tour.splitlines() if line.startswith("print(")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", tour], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(expected) == 4
+    assert proc.stdout.splitlines() == expected

@@ -2,6 +2,9 @@ import cmath
 import itertools
 import math
 import random
+import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -676,3 +679,215 @@ def test_items_order_and_private_constructor(seed, flip):
     assert built == public
     assert built.items() == public.items()
     assert repr(built) == repr(public)
+
+
+# p-primary structures for the Jordan path: ("lens", d) is the lens chain
+# of L(d, q) with a random unit q, whose form is -q/d on Z_d; ("H", d) is
+# d ((0, 1), (1, 0)), the hyperbolic form on Z_d + Z_d; ("E", d) is
+# d ((2, 1), (1, 2)), on Z_d + Z_3d, whose 2-block does not diagonalize
+JORDAN_STRUCTURES = [
+    (("lens", 2),), (("lens", 8),), (("lens", 32),), (("lens", 3),),
+    (("lens", 27),), (("lens", 25),), (("lens", 7),),
+    (("lens", 4), ("lens", 4), ("lens", 4)), (("lens", 9), ("lens", 27)),
+    (("lens", 2), ("lens", 8)), (("lens", 3), ("lens", 3)),
+    (("lens", 12),), (("lens", 6), ("lens", 18)),
+    (("H", 2),), (("H", 4),), (("E", 2),), (("E", 4),), (("H", 2), ("lens", 4)),
+]
+
+
+def block_diagonal(blocks):
+    size = sum(len(b) for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+@st.composite
+def jordan_cases(draw):
+    """(linking matrix, its torsion order, an even K, a summand matrix l
+    for the lattice sum over it, sign): K is random, 0 mod a prime of the
+    group, or singular mod that prime."""
+    structure = draw(st.sampled_from(JORDAN_STRUCTURES))
+    pieces = []
+    for kind, d in structure:
+        if kind == "lens":
+            q = draw(st.sampled_from([q for q in range(1, d + 1) if math.gcd(q, d) == 1]))
+            pieces.append(lens_presentation(d, q).matrix)
+        elif kind == "H":
+            pieces.append(((0, d), (d, 0)))
+        else:
+            pieces.append(((2 * d, d), (d, 2 * d)))
+    link = block_diagonal(pieces)
+    if draw(st.booleans()):
+        g = rand_unimodular(random.Random(draw(st.integers(0, 10**6))), len(link))
+        link = mat_mul(transpose(g), mat_mul(link, g))
+    order = abs(det_int(link))
+    n = draw(st.integers(1, 4))
+    assume(order**n <= 6000)
+    p = min(q for q in range(2, order + 1) if order % q == 0)
+    entries = st.integers(-6, 6)
+    k = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k[i][j] = k[j][i] = draw(entries)
+        k[i][i] = 2 * (k[i][i] // 2)
+    kind = draw(st.sampled_from(["random", "zero mod p", "singular mod p"]))
+    if kind == "zero mod p":
+        k = [[p * x for x in row] for row in k]
+    elif kind == "singular mod p":
+        a = [draw(entries) for _ in range(n)]
+        k = [[2 * a[i] * a[j] + p * k[i][j] for j in range(n)] for i in range(n)]
+    l = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            l[i][j] = l[j][i] = draw(entries)
+    return (link, order, tuple(map(tuple, k)), tuple(map(tuple, l)),
+            draw(st.sampled_from([1, -1])))
+
+
+def upper_coupling(k):
+    """A coupling c with c + t(c) = k, for an even k."""
+    n = len(k)
+    return tuple(tuple(k[i][j] // 2 if i == j else k[i][j] if i < j else 0
+                       for j in range(n)) for i in range(n))
+
+
+def enumerated_sum(coeff, module, sign):
+    """The oracle: the whole box enumerated as one block, by _block_counts
+    called directly rather than through a patched _primary_blocks."""
+    return gauss._counts_to_sum(gauss._block_counts(coeff, module), module.modulus, sign < 0)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(jordan_cases())
+def test_jordan_blocks_equal_the_enumerated_block(case):
+    link, order, k, l, sign = case
+    man = presentation(link)
+    assert man.form.order == order
+    module = gauss._form_module(man.form)
+    n = len(k)
+    # every prime block takes the Jordan path and counts what enumerating it counts
+    for block in gauss._primary_blocks(module, n, 10**7):
+        counts = gauss._jordan_counts(k, block)
+        assert counts is not None
+        assert counts == gauss._block_counts(k, block)
+    assert partition_function(upper_coupling(k), man) == enumerated_sum(k, module, -1)
+    # the lattice sum over the linking matrix as modulus matrix, l odd or even
+    lattice = gauss._form_module(gauss._nonsingular_torsion_module(link)[0])
+    assert gauss_sum_over_lattice(l, link, sign) == enumerated_sum(l, lattice, sign)
+    assert gauss_sum_over_lattice(k, link, sign) == enumerated_sum(k, lattice, sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_rank_two_summands_equal_their_enumeration(m, data):
+    # 2^v (a x^2 + 2 b x y + c y^2), b odd, a and c even, on a box of side
+    # 2^min(m - v, e) with e >= m - v - 1, as the summand's group allows
+    v = data.draw(st.integers(0, m - 1))
+    e = data.draw(st.integers(m - v - 1, m - v + 1))
+    r = 2 ** (m - v)
+    a, c = (2 * data.draw(st.integers(0, r)) for _ in range(2))
+    b = 2 * data.draw(st.integers(0, r)) + 1
+    entries = tuple(x * 2**v % 2**m for x in (a, b, b, c))
+    counts, h = gauss._summand_counts(v, entries, 2, m, e)
+    assert h == min(m - v, e)
+    side = range(2**h)
+    assert counts == Counter(
+        (entries[0] * x * x + 2 * entries[1] * x * y + entries[3] * y * y) % 2**m
+        for x in side for y in side)
+
+
+def test_even_sums_never_enumerate_a_block():
+    hidden = presentation(unimodular_congruence(11, [4, 12, 12]))
+    partitions = [
+        (((1, 2), (0, 3)), lens_presentation(2000, 3)),
+        (((1, 2), (0, 3)), lens_presentation(3001, 1)),
+        (((1, 2, 0), (0, 1, 3), (1, 0, 2)), lens_presentation(211, 1)),
+        (((0, 1), (0, 0)), lens_presentation(2**11 * 3**5, 5)),
+        (((2, 1), (0, 1)), hidden),
+    ]
+    lattices = [  # an even summand matrix, then an even modulus matrix
+        (((2, 1), (1, 4)), ((2, 1), (1, 210))),
+        (((1, 0), (0, 3)), ((2, 1), (1, 216))),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gauss, "_block_counts", lambda coeff, block: pytest.fail("enumerated"))
+        for c, man in partitions:
+            z = partition_function(c, man)
+            assert z.total_multiplicity == man.form.order ** len(c)
+        for l, k0 in lattices:
+            for sign in (1, -1):
+                z = gauss_sum_over_lattice(l, k0, sign)
+                assert z.total_multiplicity == abs(det_int(k0)) ** len(l)
+
+
+def test_block_enumeration_memory_is_linear_for_two_copies():
+    # an odd summand over an odd modulus matrix depends on the
+    # representatives, so the box is enumerated; a Gram table would take
+    # |T|^2 entries, one row at a time takes |T|
+    peaks = []
+    for d in (101, 201):
+        tracemalloc.start()
+        z = gauss_sum_over_lattice(((1, 0), (0, 1)), ((1, 0), (0, d)), 1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert z.total_multiplicity == d * d
+    assert peaks[1] < 3 * peaks[0]
+    assert peaks[1] < 200_000
+
+
+def test_certified_primes():
+    sieve = bytearray([1]) * 20000
+    sieve[0] = sieve[1] = 0
+    for p in range(2, 142):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    assert [x for x in range(20000) if gauss._certified_prime(x)] == \
+        [x for x in range(20000) if sieve[x]]
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    for x in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not gauss._certified_prime(x)
+    for p in (10**14 + 31, 10**20 + 39, 10**24 + 7):
+        assert gauss._certified_prime(p)
+    # beyond the bound nothing is certified
+    assert not gauss._certified_prime(10**40 + 121)
+    assert gauss._prime_base(3**13) == 3 and gauss._prime_base(2**20) == 2
+    assert gauss._prime_base(12) is None and gauss._prime_base(1) is None
+    assert gauss._prime_base((10**6 + 3)**2) == 10**6 + 3
+
+
+def test_a_prime_cofactor_ends_trial_division():
+    for p in (10**14 + 31, 10**20 + 39, 10**24 + 7):
+        assert gauss._coprime_parts(p, 1, 10**7) == [p]
+        assert gauss._coprime_parts(12 * p, 2, 10**7) == [4, 3, p]
+    # trial division up to the budget would take 5 * 10^7 divisions here
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        partition_function(((1,),), lens_presentation(10**24 + 7, 1), budget=10**8)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_engine_sums_read_out_like_their_phases(seed, flip):
+    # a sum built from integer keys, against the same phases given to the
+    # public constructor: the same value bit for bit, the same terms
+    rng = random.Random(seed)
+    modulus = rng.choice([1, 2, 12, 2 * 3**5, 2**13 * 3**5, rng.randint(1, 10**6)])
+    step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
+    counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
+              for _ in range(rng.randint(1, 50))}
+    built = gauss._counts_to_sum(counts, modulus, flip)
+    public = CyclotomicSum(built.items())
+    for precision in (53, 256):
+        a, b = eval_numeric(built, precision), eval_numeric(public, precision)
+        assert (a.re, a.im) == (b.re, b.im)
+    assert built == public and public == built
+    assert (len(built), built.total_multiplicity) == (len(public), public.total_multiplicity)
+    # the same phases over a multiple of the modulus
+    scaled = gauss._counts_to_sum({3 * k: v for k, v in counts.items()}, 3 * modulus, flip)
+    assert scaled == built and built == scaled
