@@ -11,6 +11,7 @@ budget exceeded.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,9 +145,7 @@ def _value_doc(value):
 
 
 def _phases_doc(s):
-    return [
-        [f"{p.numerator}/{p.denominator}", m] for p, m in s.items()
-    ]
+    return [[f"{num}/{den}", m] for num, den, m in s._reduced_items()]
 
 
 def _group_str(g):
@@ -377,7 +376,12 @@ def cmd_dual(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: main() reuses it for each command it runs in this process.
+    Each parse_args call makes a fresh Namespace, so no state carries over
+    between commands.  Callers must not mutate the returned parser."""
     parser = argparse.ArgumentParser(
         prog="surgeryinv",
         description="Invariants of 3-manifolds presented by surgery linking matrices.",

@@ -60,7 +60,7 @@ def is_square(a):
 
 def is_symmetric(a):
     r, c = shape(a)
-    return r == c and all(a[i][j] == a[j][i] for i in range(r) for j in range(i))
+    return r == c and all(tuple(row) == col for row, col in zip(a, zip(*a)))
 
 
 def is_even_symmetric(a):

@@ -129,6 +129,15 @@ class CyclotomicSum:
             key=lambda t: t[0].numerator * (den // t[0].denominator),
         ))
 
+    def _reduced_items(self):
+        """(numerator, denominator, multiplicity) per phase in lowest terms,
+        sorted by phase, with no Fraction made for an engine sum."""
+        if self._counts is None:
+            return [(p.numerator, p.denominator, v) for p, v in self.items()]
+        m, gcd = self._modulus, math.gcd
+        return [(k // g, m // g, v)
+                for k, v in sorted(self._counts.items()) for g in (gcd(k, m),)]
+
     @property
     def total_multiplicity(self):
         return sum(self._mults.values())
@@ -151,6 +160,8 @@ class CyclotomicSum:
 
 def conjugate(s):
     """Complex conjugation: every phase r becomes -r mod 1."""
+    if s._counts is not None:
+        return _counts_to_sum(s._counts, s._modulus, flip=True)
     return CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
 
 

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -291,3 +293,144 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
     code, out, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every in-process caller shares one parser: these tests check that reusing
+# it changes nothing a fresh process would print.
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of argv in a new interpreter, with the
+    current environment."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "surgeryinv", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(capsys, argv):
+    """Like run_cli, but an argparse exit (usage error, --help) is a result."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    m = write(tmp_path, "m.txt", ((3, 1), (1, 2)))
+    c = write(tmp_path, "c.txt", ((1,),))
+    k = write(tmp_path, "k.txt", ((2,),))
+    argvs = [
+        ["snf", m], ["homology", m], ["homology", "--preset", "lens:5,2"],
+        ["linking-form", m, "--json"], ["partition", "--coupling", c, "--manifold", m],
+        ["reciprocity", "--l", c, "--k", k], ["kirby", m, "--move", "1", "--args", "-1"],
+        ["evenize", m], ["dual", "--l", write(tmp_path, "l.txt", ((-6,),)), "--k", k],
+        ["snf", m, "--json"], ["homology"], ["partition", "--coupling", c],
+    ]
+    codes = [run_in_process(capsys, argv)[0] for argv in argvs]
+    assert codes == [EXIT_OK] * 10 + [EXIT_PARSE, 2]
+    # the top-level parser and one per command, all from the first call
+    assert built.count("surgeryinv") == 1
+    assert len(built) == 9
+
+
+def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    c = write(tmp_path, "c.txt", ((0, 1), (0, 0)))
+    m = write(tmp_path, "m.txt", ((2, 1, 0), (1, -3, 1), (0, 1, 4)))
+    partition = ["partition", "--coupling", c, "--manifold", "lens:11,1"]
+    steps = [
+        partition + ["--budget", "1000"],
+        "budget env",
+        partition,
+        ["homology", "--preset", "borromean"],
+        ["homology", m],
+        ["partition", "--coupling", c, "--json"],
+        ["snf", m, "--json"],
+        partition + ["--budget", "5"],
+        ["linking-form", "--help"],
+        ["evenize", m],
+    ]
+    codes = []
+    for argv in steps:
+        if argv == "budget env":
+            monkeypatch.setenv(cli.BUDGET_ENV, "5")
+            continue
+        got = run_in_process(capsys, argv)
+        assert got == run_fresh(argv), argv
+        codes.append(got[0])
+    assert codes == [EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, 2, EXIT_OK,
+                     EXIT_BUDGET, 0, EXIT_OK]
+
+
+def test_commands_reach_helpers_through_module_globals(tmp_path, capsys, monkeypatch):
+    m = write(tmp_path, "m.txt", ((3, 1), (1, 2)))
+    assert run_cli(capsys, ["snf", m])[0] == EXIT_OK
+    seen = []
+    emit, load = cli._emit, cli.load_matrix
+
+    def spy_emit(doc, lines, args):
+        seen.append(doc["command"])
+        emit(doc, lines, args)
+
+    def spy_load(path):
+        seen.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_emit", spy_emit)
+    monkeypatch.setattr(cli, "load_matrix", spy_load)
+    code, out, _ = run_cli(capsys, ["homology", m])
+    assert code == EXIT_OK and out.startswith("b1 = 0")
+    code, out, _ = run_cli(capsys, ["snf", m, "--json"])
+    assert code == EXIT_OK and json.loads(out)["invariant_factors"] == [1, 5]
+    assert seen == [m, "homology", m, "snf"]
+
+
+# sha256 of the help text at COLUMNS=80, recorded with a parser built once
+# per command; argparse lays help out differently across Python versions
+HELP_DIGESTS = {
+    None: "03913a7c3fda5bb03e936998462a5acb2995d895279fe79d6025c99caef4f88c",
+    "snf": "b2aa87a3f9fe9a53a6ff95708b21fd926f53533bf931d86f0b8f270b6f8df552",
+    "homology": "59976a9d087feaa3c7dc76d8b74f4c8a05f8edf01da5feb1b9707605b37497ed",
+    "linking-form": "906a955d88bf21b63d175d28d00fb938f9880b1d0e8914aad9ce4bc87359f6d0",
+    "partition": "460ee8da8e6119bb20e30edef6ce6cdbc975b82b86b7c25bbcb9741a9fab0dd8",
+    "reciprocity": "99582822b3ffabe5756af0c33c2c3eff2950cccacf4f69a92459e49deffca955",
+    "kirby": "c9d0ba725e60b3c472e17e9d5d4528b57ac163c6b8f88babdbafce7262e1f028",
+    "evenize": "b6e49311d5d291ea9da8202bd4d47cf2cf55eb344fc38ee8a6ce6c7b3479e6d5",
+    "dual": "2c933748148d7113b3a62bab60cb9b1611aac4bd432c57f54b20bc1006848b28",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests were recorded with CPython 3.11's argparse")
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=str)
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    code, out, err = run_fresh(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+    # twice in this process, through the parser every command shares
+    for _ in range(2):
+        assert run_in_process(capsys, argv) == (code, out, err)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgeryinv.exactmat import (
     block_decompose,
@@ -11,6 +13,7 @@ from surgeryinv.exactmat import (
     direct_sum,
     identity,
     int_inverse,
+    is_symmetric,
     kron,
     mat_mul,
     mat_neg,
@@ -270,3 +273,54 @@ def test_block_decompose_random_singular():
         dec = block_decompose(a)
         assert dec.rank == r
         block_certificate(a, dec)
+
+
+def _entrywise_symmetric(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    return rows == cols and all(a[i][j] == a[j][i]
+                                for i in range(rows) for j in range(rows))
+
+
+@st.composite
+def symmetry_cases(draw):
+    """Square and non-square matrices of ints or Fractions, as tuples or
+    lists, most of them symmetric but for at most one entry."""
+    entry = draw(st.sampled_from([
+        st.integers(-5, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ]))
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 6))
+    if rows == 0:
+        cols = 0
+    a = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows == cols and draw(st.booleans()):
+        for i in range(rows):
+            for j in range(i):
+                a[i][j] = a[j][i]
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            a[i][j] += draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+    if draw(st.booleans()):
+        a = tuple(tuple(row) for row in a)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetry_cases())
+def test_is_symmetric_matches_the_entrywise_definition(a):
+    assert is_symmetric(a) == _entrywise_symmetric(a)
+
+
+def test_is_symmetric_sees_one_asymmetric_entry_anywhere():
+    rng = random.Random(611)
+    for n in range(1, 6):
+        s = rand_symmetric(rng, n, -5, 5)
+        assert is_symmetric(s) and is_symmetric([list(r) for r in s])
+        for i in range(n):
+            for j in range(n):
+                a = [list(r) for r in s]
+                a[i][j] += 1
+                assert is_symmetric(a) == (i == j)
+                assert is_symmetric(tuple(map(tuple, a))) == (i == j)

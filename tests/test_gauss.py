@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from surgeryinv import gauss
+from surgeryinv.cli import _phases_doc
 from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, smith_normal_form, transpose
 from surgeryinv.gauss import (
     BudgetExceededError,
@@ -891,3 +892,29 @@ def test_engine_sums_read_out_like_their_phases(seed, flip):
     # the same phases over a multiple of the modulus
     scaled = gauss._counts_to_sum({3 * k: v for k, v in counts.items()}, 3 * modulus, flip)
     assert scaled == built and built == scaled
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, flip):
+    # the integer-key shortcuts in conjugate and cli._phases_doc, against
+    # the Fraction path, on an engine sum and on the same phases given to
+    # the public constructor
+    rng = random.Random(seed)
+    modulus = rng.choice([1, 2, 12, 2 * 3**5, rng.randint(1, 10**6)])
+    step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
+    counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
+              for _ in range(rng.randint(0, 50))}
+    built = gauss._counts_to_sum(counts, modulus, flip)
+    public = CyclotomicSum(built.items())
+    for s in (built, public):
+        assert _phases_doc(s) == [[f"{p.numerator}/{p.denominator}", m]
+                                  for p, m in s.items()]
+        got = conjugate(s)
+        want = CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
+        assert got == want and want == got
+        assert got.items() == want.items()
+        assert repr(got) == repr(want)
+        a, b = eval_numeric(got, 128), eval_numeric(want, 128)
+        assert (a.re, a.im) == (b.re, b.im)
+        assert conjugate(got) == s
