@@ -26,6 +26,7 @@ from .gauss import (
     partition_function,
 )
 from .homology import (
+    full_homology,
     lens_presentation,
     linking_form_with_generators,
     presentation,
@@ -119,6 +120,20 @@ def load_manifold(spec):
     return presentation(preset(*data))
 
 
+def load_homology(spec):
+    """(linking matrix, homology) of a manifold argument, from its
+    invariant factors alone; a lens preset reads its pinned presentation."""
+    if os.path.exists(spec):
+        matrix = load_matrix(spec)
+    else:
+        kind, data = parse_preset(spec)
+        if kind == "lens":
+            man = lens_presentation(*data)
+            return man.matrix, man.homology
+        matrix = preset(*data)
+    return matrix, full_homology(matrix)
+
+
 def load_linking_matrix(spec):
     if os.path.exists(spec):
         return load_matrix(spec)
@@ -152,9 +167,42 @@ def _group_str(g):
     return str(g)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(o, newline="\n"):
+    """Exactly json.dumps(o, indent=2, sort_keys=True) for the documents
+    the commands build (dicts with str keys, lists, str, int, bool, None).
+    With an indent, json falls back to its pure-Python encoder, which is
+    slower than these joins and leaves reference cycles behind."""
+    if type(o) is str:
+        return _encode_str(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    inner = newline + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_encode_str(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        # ints, the bulk of every matrix, skip the call
+        items = [int.__repr__(x) if type(x) is int else _dumps(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(o)
+
+
 def _emit(doc, text_lines, args):
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
     else:
         for line in text_lines:
             print(line)
@@ -186,12 +234,10 @@ def cmd_snf(args):
 
 
 def cmd_homology(args):
-    spec = args.preset if args.preset else args.matrix
-    man = load_manifold(spec)
-    h = man.homology
+    matrix, h = load_homology(args.preset if args.preset else args.matrix)
     doc = {
         "command": "homology",
-        "input": [list(r) for r in man.matrix],
+        "input": [list(r) for r in matrix],
         "b1": h.b1,
         "torsion": list(h.torsion.factors),
         "h": [_group_str(h.h0), _group_str(h.h1), _group_str(h.h2), _group_str(h.h3)],
@@ -332,28 +378,18 @@ def cmd_kirby(args):
     m = load_matrix(args.matrix)
     move = _parse_move(args.move, args.args)
     out = apply_move(m, move)
-    if args.json:
-        print(json.dumps({"command": "kirby", "matrix": [list(r) for r in out]},
-                         indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(format_matrix(out))
+    _emit({"command": "kirby", "matrix": [list(r) for r in out]},
+          [format_matrix(out)[:-1]], args)
     return EXIT_OK
 
 
 def cmd_evenize(args):
     m = load_matrix(args.matrix)
     out, transcript = evenize(m)
-    if args.json:
-        doc = {
-            "command": "evenize",
-            "matrix": [list(r) for r in out],
-            "transcript": [_move_text(mv) for mv in transcript],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(format_matrix(out))
-        for mv in transcript:
-            print(f"# move: {_move_text(mv)}")
+    moves = [_move_text(mv) for mv in transcript]
+    doc = {"command": "evenize", "matrix": [list(r) for r in out], "transcript": moves}
+    lines = [format_matrix(out)[:-1], *(f"# move: {mv}" for mv in moves)]
+    _emit(doc, lines, args)
     return EXIT_OK
 
 
@@ -361,18 +397,14 @@ def cmd_dual(args):
     l = load_matrix(args.l)
     k = load_matrix(args.k)
     dual = cs_dual(l, k)
-    if args.json:
-        doc = {
-            "command": "dual",
-            "dual_linking": [list(r) for r in dual.linking],
-            "dual_coupling": [list(r) for r in dual.coupling],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("# dual linking matrix")
-        sys.stdout.write(format_matrix(dual.linking))
-        print("# dual coupling matrix")
-        sys.stdout.write(format_matrix(dual.coupling))
+    doc = {
+        "command": "dual",
+        "dual_linking": [list(r) for r in dual.linking],
+        "dual_coupling": [list(r) for r in dual.coupling],
+    }
+    lines = ["# dual linking matrix", format_matrix(dual.linking)[:-1],
+             "# dual coupling matrix", format_matrix(dual.coupling)[:-1]]
+    _emit(doc, lines, args)
     return EXIT_OK
 
 

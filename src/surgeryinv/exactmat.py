@@ -177,38 +177,62 @@ class SnfResult:
 
 
 def smith_normal_form(a):
-    """Smith normal form of an arbitrary integer matrix.
+    """Smith normal form of an arbitrary integer matrix, with certified
+    transforms: d = u * a * v, u and v unimodular.
 
     Pivot strategy: at each stage pick the nonzero entry of minimal
     absolute value in the remaining submatrix.  Arbitrary-precision ints
     make overflow impossible, but small pivots keep the coefficient
     growth of the transforms in check.
+
+    Cost: every row operation is applied to u and every column operation
+    to v as well as to the working matrix, and the transform entries can
+    grow far beyond the size of det(a), so this is the expensive way to
+    learn the invariant factors.  Only the snf command prints u and v;
+    homology, linking forms and block decompositions run the same
+    elimination without u (and, for homology and rank, without v).
+    """
+    d, u, v = _smith(a, True, True)
+    return SnfResult(mat(u), mat(d), mat(v))
+
+
+def _smith(a, keep_u, keep_v):
+    """The elimination behind smith_normal_form, on lists of rows.
+
+    Returns (d, u, v) with d = u * a * v, where u is None unless keep_u
+    and v is None unless keep_v.  The pivots and the operations depend on
+    the working matrix alone, so d, and u or v where kept, are the same
+    whichever transforms a caller asks for.
     """
     rows, cols = shape(a)
     m = [list(row) for row in a]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if keep_v else None
 
     def add_row(src, dst, c):
         # row dst += c * row src, applied to m and u alike
         m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for r in m:
             r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
+        if v is not None:
+            for r in v:
+                r[dst] += c * r[src]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -264,13 +288,18 @@ def smith_normal_form(a):
     for i in range(min(rows, cols)):
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
+    return m, u, v
 
-    return SnfResult(mat(u), mat(m), mat(v))
+
+def _rank(d):
+    """Rank of a matrix from its Smith form d (zeros trail the diagonal)."""
+    return sum(1 for i in range(min(shape(d))) if d[i][i])
 
 
 def rank(a):
-    return len(smith_normal_form(a).invariant_factors())
+    return _rank(_smith(a, False, False)[0])
 
 
 def signature(a):
@@ -342,20 +371,22 @@ def block_decompose(a):
     The last columns of the Smith transform v form a basis of the integer
     kernel of a; because a is symmetric, any unimodular matrix whose
     trailing columns span the kernel already conjugates a into
-    diag(a0, 0).  When a is nonsingular, p is the identity.
+    diag(a0, 0).  When a is nonsingular, p is the identity.  The Smith
+    elimination carries v only.
     """
     if not is_symmetric(a):
         raise ValueError("block decomposition needs a symmetric matrix")
-    return _split_off_kernel(a, smith_normal_form(a))
+    d, _, v = _smith(a, False, True)
+    return _split_off_kernel(a, _rank(d), v)
 
 
-def _split_off_kernel(a, snf):
-    """block_decompose of the symmetric matrix a, given its Smith form."""
+def _split_off_kernel(a, r, v):
+    """block_decompose of the symmetric matrix a of rank r, given the
+    column transform v of its Smith form."""
     n = len(a)
-    r = len(snf.invariant_factors())
     if r == n:
         return BlockDecomposition(identity(n), a, n)
-    p = snf.v
+    p = mat(v)
     conj = mat_mul(transpose(p), mat_mul(a, p))
     a0 = tuple(row[:r] for row in conj[:r])
     if any(conj[i][j] != 0 for i in range(n) for j in range(n)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import _split_off_kernel, is_symmetric, smith_normal_form
+from .exactmat import _rank, _smith, _split_off_kernel, is_symmetric
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,16 @@ class LinkingForm:
 
 
 def first_homology(l):
-    """First homology of the surgered manifold: (b1, torsion group)."""
+    """First homology of the surgered manifold: (b1, torsion group).
+
+    Reads the invariant factors only: the Smith elimination carries no
+    transform."""
     if not is_symmetric(l):
         raise ValueError("linking matrix must be symmetric")
-    n = len(l)
-    snf = smith_normal_form(l)
-    factors = tuple(d for d in snf.invariant_factors() if d >= 2)
-    b1 = n - len(snf.invariant_factors())
-    return b1, TorsionGroup(factors)
+    d, _, _ = _smith(l, False, False)
+    r = _rank(d)
+    factors = tuple(d[i][i] for i in range(r) if d[i][i] >= 2)
+    return len(l) - r, TorsionGroup(factors)
 
 
 def _summary(b1, torsion):
@@ -114,27 +116,28 @@ def full_homology(l):
 
 def _torsion_module(l):
     """(rank, linking form, generators) of l: one Smith form when l is
-    nonsingular, its own block; a second, on the block, when it is not."""
+    nonsingular, its own block; a second, on the block, when it is not.
+    Each carries the column transform v only."""
     if not is_symmetric(l):
         raise ValueError("block decomposition needs a symmetric matrix")
-    snf = smith_normal_form(l)
-    dec = _split_off_kernel(l, snf)
-    a, r = dec.a0, dec.rank
+    d, _, v = _smith(l, False, True)
+    r = _rank(d)
+    a = _split_off_kernel(l, r, v).a0
     if r < len(l):
-        snf = smith_normal_form(a)
-    cols = [k for k in range(r) if snf.d[k][k] >= 2]
+        d, _, v = _smith(a, False, True)
+    cols = [k for k in range(r) if d[k][k] >= 2]
     gens = []
     for k in cols:
-        image = [sum(a[i][j] * snf.v[j][k] for j in range(r)) for i in range(r)]
-        if any(x % snf.d[k][k] for x in image):
+        image = [sum(a[i][j] * v[j][k] for j in range(r)) for i in range(r)]
+        if any(x % d[k][k] for x in image):
             raise AssertionError("Smith form failed to give an integer generator")
-        gens.append(tuple(x // snf.d[k][k] for x in image))
+        gens.append(tuple(x // d[k][k] for x in image))
     q = tuple(
-        tuple(Fraction(sum(x * snf.v[i][m] for i, x in enumerate(g)), snf.d[m][m])
+        tuple(Fraction(sum(x * v[i][m] for i, x in enumerate(g)), d[m][m])
               for m in cols)
         for g in gens
     )
-    form = LinkingForm(tuple(snf.d[k][k] for k in cols), q)
+    form = LinkingForm(tuple(d[k][k] for k in cols), q)
     _check_form(form)
     return r, form, tuple(gens)
 

@@ -172,19 +172,40 @@ def evenize(l):
     framing's parity once per slide, which by the parity matching lands
     every framing on an even number.  Finally the pivot, isolated again
     with framing 1, is removed.
+
+    Cost: the moves act in place on one list-of-lists matrix, O(size)
+    per border or slide, where apply_move copies and re-checks the whole
+    matrix.  A run of c unit slides of one component over the pivot is
+    applied as one slide by c, since (I + sE)^c = I + csE; the transcript
+    still lists every unit move.
     """
     _check_symmetric(l)
     n = len(l)
     if all(l[i][i] % 2 == 0 for i in range(n)):
         return l, []
 
-    cur = l
+    m = [list(row) for row in l]
     transcript = []
 
-    def do(*move):
-        nonlocal cur
-        cur = apply_move(cur, move)
-        transcript.append(move)
+    def border(sign):
+        # first Kirby move: a split unknot component with framing sign
+        for row in m:
+            row.append(0)
+        m.append([0] * len(m) + [sign])
+        transcript.append(("1", sign))
+
+    def slide(i0, j0, sign, times=1):
+        # `times` second Kirby moves at once: row and column i0 gain
+        # c = sign * times times row and column j0
+        c = sign * times
+        row, src = m[i0], m[j0]
+        framing = row[i0] + 2 * c * row[j0] + c * c * src[j0]
+        for j, x in enumerate(src):
+            row[j] += c * x
+        for i, x in enumerate(row):
+            m[i][i0] = x
+        row[i0] = framing
+        transcript.extend([("2", i0, j0, sign)] * times)
 
     rows_mod2 = [
         sum((l[i][j] & 1) << j for j in range(n)) for i in range(n)
@@ -193,27 +214,34 @@ def evenize(l):
     subset = _solve_gf2(rows_mod2, target)
 
     pivot = n
-    do("1", 1)
+    border(1)
     for j in sorted(subset):
-        do("2", pivot, j, 1)
+        slide(pivot, j, 1)
     for j in range(n):
-        assert (cur[j][pivot] - cur[j][j]) % 2 == 0
+        assert (m[j][pivot] - m[j][j]) % 2 == 0
 
     # walk the pivot framing to exactly 1, one auxiliary component per step
-    while cur[pivot][pivot] != 1:
-        step = -1 if cur[pivot][pivot] > 1 else 1
-        do("1", step)
-        aux = len(cur) - 1
-        do("2", pivot, aux, 1)
+    while m[pivot][pivot] != 1:
+        step = -1 if m[pivot][pivot] > 1 else 1
+        border(step)
+        slide(pivot, len(m) - 1, 1)
 
-    # detach the auxiliaries (one slide each) and then the old components
-    for aux in range(pivot + 1, len(cur)):
-        if cur[aux][pivot] != 0:
-            do("2", aux, pivot, -cur[aux][pivot])
+    # detach the auxiliaries (one slide each) and then the old components;
+    # each unit slide over the pivot (framing 1) moves the linking by one
+    for aux in range(pivot + 1, len(m)):
+        if m[aux][pivot] != 0:
+            slide(aux, pivot, -m[aux][pivot])
     for j in range(n):
-        while cur[j][pivot] != 0:
-            do("2", j, pivot, 1 if cur[j][pivot] < 0 else -1)
+        x = m[j][pivot]
+        if x != 0:
+            slide(j, pivot, 1 if x < 0 else -1, abs(x))
 
-    do("1inv", pivot)
-    assert all(cur[i][i] % 2 == 0 for i in range(len(cur)))
-    return cur, transcript
+    # inverse first Kirby move on the pivot, isolated with framing 1
+    assert m[pivot][pivot] == 1
+    assert not any(x for j, x in enumerate(m[pivot]) if j != pivot)
+    del m[pivot]
+    for row in m:
+        del row[pivot]
+    transcript.append(("1inv", pivot))
+    assert all(m[i][i] % 2 == 0 for i in range(len(m)))
+    return mat(m), transcript

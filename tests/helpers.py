@@ -75,3 +75,41 @@ def rand_unimodular(rng, n, steps=None):
         else:
             g[i] = [-x for x in g[i]]
     return tuple(tuple(row) for row in g)
+
+
+def reference_evenize(l):
+    """evenize as the move-by-move reference: every Kirby move goes through
+    apply_move, which copies and re-checks the whole matrix."""
+    from surgeryinv.surgery import _solve_gf2, apply_move
+
+    n = len(l)
+    if all(l[i][i] % 2 == 0 for i in range(n)):
+        return l, []
+
+    cur = l
+    transcript = []
+
+    def do(*move):
+        nonlocal cur
+        cur = apply_move(cur, move)
+        transcript.append(move)
+
+    rows_mod2 = [sum((l[i][j] & 1) << j for j in range(n)) for i in range(n)]
+    subset = _solve_gf2(rows_mod2, [l[i][i] & 1 for i in range(n)])
+
+    pivot = n
+    do("1", 1)
+    for j in sorted(subset):
+        do("2", pivot, j, 1)
+    while cur[pivot][pivot] != 1:
+        step = -1 if cur[pivot][pivot] > 1 else 1
+        do("1", step)
+        do("2", pivot, len(cur) - 1, 1)
+    for aux in range(pivot + 1, len(cur)):
+        if cur[aux][pivot] != 0:
+            do("2", aux, pivot, -cur[aux][pivot])
+    for j in range(n):
+        while cur[j][pivot] != 0:
+            do("2", j, pivot, 1 if cur[j][pivot] < 0 else -1)
+    do("1inv", pivot)
+    return cur, transcript

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgeryinv import cli
 from surgeryinv.cli import (
@@ -255,12 +257,9 @@ def test_output_is_deterministic(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "surgeryinv", "homology", "--preset", "unknot:-5"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert "torsion = 5" in proc.stdout
+    code, out, _ = run_fresh(["homology", "--preset", "unknot:-5"])
+    assert code == 0
+    assert "torsion = 5" in out
 
 
 # sha256 of stdout, recorded before the Jordan block path replaced block
@@ -405,6 +404,20 @@ def test_commands_reach_helpers_through_module_globals(tmp_path, capsys, monkeyp
     code, out, _ = run_cli(capsys, ["snf", m, "--json"])
     assert code == EXIT_OK and json.loads(out)["invariant_factors"] == [1, 5]
     assert seen == [m, "homology", m, "snf"]
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**400, 2**400) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_dumps_equals_json_dumps_with_indent(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # sha256 of the help text at COLUMNS=80, recorded with a parser built once

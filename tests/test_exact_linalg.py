@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surgeryinv import exactmat
 from surgeryinv.exactmat import (
     block_decompose,
     det_int,
@@ -15,6 +16,7 @@ from surgeryinv.exactmat import (
     int_inverse,
     is_symmetric,
     kron,
+    mat,
     mat_mul,
     mat_neg,
     rank,
@@ -74,6 +76,33 @@ def test_snf_rectangular_and_degenerate():
             a = rand_int_matrix(rng, rows, cols, -5, 5)
             snf_certificate(a, smith_normal_form(a))
     snf_certificate(zeros(3, 3), smith_normal_form(zeros(3, 3)))
+
+
+@st.composite
+def integer_matrices(draw):
+    """rows x cols integer matrices of rank at most `inner`: singular,
+    non-square, zero (inner = 0) and 0x0 among them."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5)) if rows else 0
+    inner = draw(st.integers(0, 5))
+    entries = st.integers(-5, 5)
+    left = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    return tuple(
+        tuple(sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_elimination_without_transforms_matches_the_certified_form(a):
+    snf = smith_normal_form(a)
+    d, u, v = exactmat._smith(a, False, False)
+    assert mat(d) == snf.d and u is None and v is None
+    d, u, v = exactmat._smith(a, False, True)
+    assert mat(d) == snf.d and u is None and mat(v) == snf.v
+    assert rank(a) == len(snf.invariant_factors())
 
 
 def test_snf_congruence_invariance():

@@ -220,10 +220,7 @@ def test_presentation_caches_match():
 
 
 def test_lens_presentation_takes_no_smith_form(monkeypatch):
-    def fail(a):
-        raise AssertionError("Smith form called")
-
-    monkeypatch.setattr(homology, "smith_normal_form", fail)
+    count_calls(monkeypatch, "_smith", forbid=True)
     man = lens_presentation(2000, 1999)
     assert len(man.matrix) == 1999
     assert man.b1 == 0 and man.torsion == TorsionGroup((2000,))
@@ -321,19 +318,56 @@ def count_calls(monkeypatch, name, forbid=False):
     return calls
 
 
+def kept(calls):
+    """The transforms each counted Smith elimination carried: "uv", "v" or ""."""
+    return ["u" * keep_u + "v" * keep_v for _, keep_u, keep_v in calls]
+
+
 def test_one_smith_form_per_block_and_no_inverse(monkeypatch):
     for name in ("rat_inverse", "int_inverse"):
         count_calls(monkeypatch, name, forbid=True)
-    calls = count_calls(monkeypatch, "smith_normal_form")
+    calls = count_calls(monkeypatch, "_smith")
     nonsingular = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
     singular = ((1, 2, 1), (2, -6, 2), (1, 2, 1))
     for l, snfs in ((nonsingular, 1), (singular, 2)):
         calls.clear()
         presentation(l)
         assert len(calls) == snfs
+        assert kept(calls) == ["v"] * snfs
         calls.clear()
         linking_form_with_generators(l)
         assert len(calls) == snfs
+        assert kept(calls) == ["v"] * snfs
+        calls.clear()
+        block_decompose(l)
+        assert kept(calls) == ["v"]
+        calls.clear()
+        full_homology(l)
+        assert kept(calls) == [""]
+        calls.clear()
+        smith_normal_form(l)
+        assert kept(calls) == ["uv"]
     calls.clear()
     gauss_sum_over_lattice(((2,),), nonsingular, +1)
     assert len(calls) == 1
+    assert kept(calls) == ["v"]
+
+
+def test_each_command_builds_only_the_transforms_it_reads(monkeypatch, tmp_path, capsys):
+    from surgeryinv import cli
+
+    calls = count_calls(monkeypatch, "_smith")
+    path = tmp_path / "m.txt"
+    path.write_text(cli.format_matrix(((1, 2, 1), (2, -6, 2), (1, 2, 1))))
+    expected = {
+        ("homology", str(path)): [""],
+        ("homology", "--preset", "hopf:2,3"): [""],
+        ("homology", "--preset", "lens:12,5"): [],
+        ("linking-form", str(path)): ["v", "v"],
+        ("snf", str(path)): ["uv"],
+    }
+    for argv, transforms in expected.items():
+        calls.clear()
+        assert cli.main([*argv, "--json"]) == 0
+        assert kept(calls) == transforms, argv
+    capsys.readouterr()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgeryinv.exactmat import det_int, mat_mul, transpose
 from surgeryinv.homology import first_homology
@@ -16,7 +18,7 @@ from surgeryinv.surgery import (
     preset,
     unknot,
 )
-from helpers import rand_symmetric
+from helpers import rand_symmetric, reference_evenize
 
 
 def test_presets():
@@ -170,6 +172,52 @@ def test_evenize_mod2_obstruction_case():
     assert all(out[i][i] % 2 == 0 for i in range(len(out)))
     assert first_homology(out) == first_homology(l)
     assert transcript
+
+
+@st.composite
+def long_run_matrices(draw):
+    """Symmetric matrices whose even-framed components link the odd part
+    by large even numbers.  They stay out of the GF(2) subset, so the
+    pivot framing stays small while each of them slides over the pivot
+    up to a few hundred times."""
+    small = draw(st.integers(1, 3))
+    large = draw(st.integers(0, 3))
+    n = small + large
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i < small and j < small:
+                x = draw(st.integers(-5, 5))
+            elif i < small:
+                x = 2 * draw(st.integers(-60, 60))
+            else:
+                x = 2 * draw(st.integers(-3, 3))
+            m[i][j] = m[j][i] = x
+    order = draw(st.permutations(range(n)))
+    return tuple(tuple(m[i][j] for j in order) for i in order)
+
+
+@st.composite
+def small_symmetric(draw):
+    n = draw(st.integers(0, 5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-6, 6))
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_symmetric(), long_run_matrices()))
+@example(((1, 40), (40, 0)))  # component 1 slides over the pivot 40 times
+def test_evenize_equals_the_move_by_move_reference(l):
+    out, transcript = evenize(l)
+    assert (out, transcript) == reference_evenize(l)
+    assert all(out[i][i] % 2 == 0 for i in range(len(out)))
+    replay = l
+    for move in transcript:
+        replay = apply_move(replay, move)
+    assert replay == out
 
 
 def test_coupling_to_even():
