@@ -46,6 +46,10 @@ class MatrixParseError(ValueError):
     """A matrix file or preset string failed to parse."""
 
 
+class UsageError(ValueError):
+    """An environment variable holds a value its option would refuse."""
+
+
 def parse_matrix(text):
     """Parse the matrix file format; inverse of format_matrix."""
     lines = [
@@ -208,11 +212,33 @@ def _emit(doc, text_lines, args):
             print(line)
 
 
+def _int_at_least(low):
+    """An argparse type: an int no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return parse
+
+
+_precision_bits = _int_at_least(1)
+_term_budget = _int_at_least(0)
+
+
 def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_TERM_BUDGET
+    if not env:
+        return DEFAULT_TERM_BUDGET
+    try:
+        return _term_budget(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"${BUDGET_ENV}: {exc}") from None
 
 
 def cmd_snf(args):
@@ -424,10 +450,10 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="emit a JSON result document")
         if precision:
-            p.add_argument("--precision", type=int, default=128,
+            p.add_argument("--precision", type=_precision_bits, default=128,
                            help="working precision in bits (default 128)")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_term_budget, default=None,
                            help=f"maximum number of summands of one "
                                 f"p-primary block of the group, "
                                 f"and of pair updates combining the blocks "
@@ -510,7 +536,7 @@ def _run(argv):
             return EXIT_PARSE
     try:
         return args.fn(args)
-    except MatrixParseError as exc:
+    except (MatrixParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

@@ -7,8 +7,9 @@ appears is eval_numeric, which turns a finished sum into a high-precision
 complex number for cross-formula comparisons.  It writes every phase as
 k/L over the lcm L of the denominators and reads the sum out of one root
 of unity e^{2 pi i/L}: one transcendental call per sum, then exact
-fixed-point integer powers, O(log L) squarings plus one product per set
-bit of each gap between consecutive residues, and one final rounding.
+fixed-point integer powers, O(log L) squarings plus one product of three
+multiplications per set bit of each gap between consecutive residues, one
+multiplication per distinct multiplicity, and one final rounding.
 Denominators whose lcm exceeds 128 bits are split into groups below that
 size, one root each; an engine sum has L at most twice the exponent of
 its group, so it is one group unless that exponent exceeds 2^127.
@@ -192,14 +193,16 @@ def eval_numeric(s, precision=128):
     call gives z as fixed-point integers scaled by 2^W, repeated squaring
     gives z^(2^j), and a walk over the residues k in increasing order steps
     from one power to the next by multiplying in the table entries for the
-    bits of the gap.  The multiplicity-weighted powers are summed exactly in
-    Python integers and rounded once to `precision` bits.  The cost is
-    O(log L) squarings plus popcount(gap) products per distinct phase, never
-    a walk over all L powers.  Every sum the engine builds has one modulus
-    and takes one root; phases whose denominators have an lcm of more than
-    128 bits are split into groups under that size (a larger single
-    denominator forms its own group), one root each, so unrelated
-    denominators cannot inflate L.
+    bits of the gap.  The powers are summed exactly in Python integers, one
+    sum per distinct multiplicity, weighted by it and rounded once to
+    `precision` bits.  The cost is O(log L) squarings plus popcount(gap)
+    products of three multiplications each per distinct phase, never a walk
+    over all L powers, and one multiplication per distinct multiplicity.
+    Every sum the engine builds has one modulus and takes one root; phases
+    whose denominators have an lcm of more than 128 bits are split into
+    groups under that size (a larger single denominator forms its own
+    group), one root each, so unrelated denominators cannot inflate L.
+    A precision below 1 bit raises ValueError.
 
     Error: z is rounded to within 2^-W, and each product is truncated to
     within 2^(1/2-W).  A power z^k is a product tree with k leaves z and
@@ -211,13 +214,15 @@ def eval_numeric(s, precision=128):
     1.02 * 2^-precision * max(1, |value|).  A sum with L = 1, 2 or 4, such
     as the empty sum or {0: 1}, comes out exact.
     """
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 bit, not {precision}")
     mults = s._mults
     slack = (precision + len(mults).bit_length()
-             + sum(abs(m) for m in mults.values()).bit_length() + 8)
+             + sum(map(abs, mults.values())).bit_length() + 8)
     re = im = width = 0
     for den, res in _root_groups(s):
         w = slack + 2 * den.bit_length()
-        part_re, part_im = _root_walk(den, sorted(res), w)
+        part_re, part_im = _root_walk(den, res, w)
         if w > width:
             re, im, width = re << (w - width), im << (w - width), w
         re += part_re << (width - w)
@@ -228,7 +233,7 @@ def eval_numeric(s, precision=128):
 
 def _root_groups(s):
     """The phases of s as residues over a few roots: a list of pairs
-    (L, [(k, mult), ...]), each phase being k/L.
+    (L, [(k, mult), ...]) in increasing k, each phase being k/L.
 
     Phases are grouped by increasing denominator while the lcm L of the
     group stays within _ROOT_BITS bits.  A sum the engine built has one
@@ -236,10 +241,11 @@ def _root_groups(s):
     root it is read from the integer keys, the same group the phases give.
     """
     if s._counts is not None:
-        g = math.gcd(s._modulus, *s._counts)
+        counts = s._counts
+        g = math.gcd(s._modulus, *counts)
         den = s._modulus // g
         if den.bit_length() <= _ROOT_BITS:
-            return [(den, [(k // g, m) for k, m in s._counts.items()])]
+            return [(den, [(k // g, counts[k]) for k in sorted(counts)])]
     terms = s._terms
     roots = []
     group = {}
@@ -253,36 +259,52 @@ def _root_groups(s):
     for p, m in terms.items():
         i = group[p.denominator]
         residues[i].append((p.numerator * (roots[i] // p.denominator), m))
-    return list(zip(roots, residues))
+    return [(den, sorted(res)) for den, res in zip(roots, residues)]
 
 
 def _root_walk(den, residues, width):
     """Sum of mult * e^{2 pi i k/den} over (k, mult) in increasing k, as
-    integers scaled by 2^width, from one root of unity and its powers."""
+    integers scaled by 2^width, from one root of unity and its powers.
+
+    The power (a, b) steps to (a + bi)(c + di) for the table entry
+    z^(2^j) = (c, d) of each set bit j of the gap, truncated to
+    ((ac - bd) >> width, (ad + bc) >> width).  Three multiplications give
+    the same integers before the shift: with k1 = c(a + b),
+    ac - bd = k1 - b(c + d) and ad + bc = k1 + a(d - c), so each entry is
+    held as (c, c + d, d - c).  Each distinct gap's entries are listed
+    once, and the powers are summed per distinct multiplicity and weighted
+    at the end, which is exact in integers.
+    """
+    table = []
     if den > 1:
         with mp.workprec(width + 10):
             z = mp.expjpi(mp.mpf(2) / den)
-            z = (int(mp.nint(mp.ldexp(z.real, width))),
-                 int(mp.nint(mp.ldexp(z.imag, width))))
-        table = [z]
+            c = int(mp.nint(mp.ldexp(z.real, width)))
+            d = int(mp.nint(mp.ldexp(z.imag, width)))
+        table.append((c, c + d, d - c))
         while len(table) < (den - 1).bit_length():
-            table.append(_fixed_mul(table[-1], table[-1], width))
-    re = im = 0
-    k0, power = 0, (1 << width, 0)
+            c, d = (c * c - d * d) >> width, (2 * c * d) >> width
+            table.append((c, c + d, d - c))
+    steps = {}
+    sums = {}
+    k0, a, b = 0, 1 << width, 0
     for k, mult in residues:
         gap, k0 = k - k0, k
-        for j in range(gap.bit_length()):
-            if gap >> j & 1:
-                power = _fixed_mul(power, table[j], width)
-        re += mult * power[0]
-        im += mult * power[1]
+        step = steps.get(gap)
+        if step is None:
+            step = steps[gap] = [table[j] for j in range(gap.bit_length()) if gap >> j & 1]
+        for c, s, t in step:
+            k1 = c * (a + b)
+            a, b = (k1 - b * s) >> width, (k1 + a * t) >> width
+        acc = sums.get(mult)
+        if acc is None:
+            sums[mult] = [a, b]
+        else:
+            acc[0] += a
+            acc[1] += b
+    re = sum(mult * acc[0] for mult, acc in sums.items())
+    im = sum(mult * acc[1] for mult, acc in sums.items())
     return re, im
-
-
-def _fixed_mul(x, y, width):
-    """Product of two complex numbers held as integers scaled by 2^width."""
-    (a, b), (c, d) = x, y
-    return (a * c - b * d) >> width, (a * d + b * c) >> width
 
 
 def _quadratic_value(coeff, q, u, block):

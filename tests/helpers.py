@@ -113,3 +113,57 @@ def reference_evenize(l):
             do("2", j, pivot, 1 if cur[j][pivot] < 0 else -1)
     do("1inv", pivot)
     return cur, transcript
+
+
+def reference_root_walk(den, residues, width):
+    """gauss._root_walk as the four-multiplication reference: the same root,
+    the same z^(2^j) table and the same chain of truncated products, with
+    every multiplicity applied to its power as the walk goes."""
+    from mpmath import mp
+
+    if den > 1:
+        with mp.workprec(width + 10):
+            z = mp.expjpi(mp.mpf(2) / den)
+            z = (int(mp.nint(mp.ldexp(z.real, width))),
+                 int(mp.nint(mp.ldexp(z.imag, width))))
+        table = [z]
+        while len(table) < (den - 1).bit_length():
+            table.append(_fixed_mul(table[-1], table[-1], width))
+    re = im = 0
+    k0, power = 0, (1 << width, 0)
+    for k, mult in residues:
+        gap, k0 = k - k0, k
+        for j in range(gap.bit_length()):
+            if gap >> j & 1:
+                power = _fixed_mul(power, table[j], width)
+        re += mult * power[0]
+        im += mult * power[1]
+    return re, im
+
+
+def _fixed_mul(x, y, width):
+    """Product of two complex numbers held as integers scaled by 2^width."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> width, (a * d + b * c) >> width
+
+
+def reference_eval_numeric(s, precision):
+    """gauss.eval_numeric with every group's residues sorted here and read
+    out by reference_root_walk: the (re, im) mpf pair."""
+    from mpmath import mp
+
+    from surgeryinv.gauss import _root_groups
+
+    mults = s._mults
+    slack = (precision + len(mults).bit_length()
+             + sum(abs(m) for m in mults.values()).bit_length() + 8)
+    re = im = width = 0
+    for den, res in _root_groups(s):
+        w = slack + 2 * den.bit_length()
+        part_re, part_im = reference_root_walk(den, sorted(res), w)
+        if w > width:
+            re, im, width = re << (w - width), im << (w - width), w
+        re += part_re << (width - w)
+        im += part_im << (width - w)
+    with mp.workprec(precision):
+        return mp.mpf((re, -width)), mp.mpf((im, -width))

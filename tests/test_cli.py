@@ -207,6 +207,38 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.BUDGET_ENV)
 
 
+def test_precision_below_one_bit_is_a_parse_error(tmp_path, capsys):
+    c = write(tmp_path, "c.txt", ((1, 1), (0, 2)))
+    l = write(tmp_path, "l.txt", ((2,),))
+    k = write(tmp_path, "k.txt", ((2, 1), (1, 4)))
+    for command in (["partition", "--coupling", c, "--manifold", "lens:5,2"],
+                    ["reciprocity", "--l", l, "--k", k]):
+        for bits in ("0", "-1000"):
+            code, out, err = run_in_process(capsys, command + ["--precision", bits])
+            assert (code, out) == (EXIT_PARSE, "")
+            assert f"argument --precision: must be at least 1, not {bits}" in err
+        code, _, err = run_in_process(capsys, command + ["--precision", "x"])
+        assert code == EXIT_PARSE and "argument --precision: invalid int value: 'x'" in err
+        assert run_in_process(capsys, command + ["--precision", "1"])[0] == EXIT_OK
+
+
+def test_budget_must_be_a_non_negative_integer(tmp_path, capsys, monkeypatch):
+    c = write(tmp_path, "c.txt", ((0, 1), (0, 0)))
+    partition = ["partition", "--coupling", c, "--manifold", "lens:11,1"]
+    code, out, err = run_in_process(capsys, partition + ["--budget", "-3"])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "argument --budget: must be at least 0, not -3" in err
+    assert run_in_process(capsys, partition + ["--budget", "0"])[0] == EXIT_BUDGET
+    for value, message in [("abc", "invalid int value: 'abc'"),
+                           ("-3", "must be at least 0, not -3")]:
+        monkeypatch.setenv(cli.BUDGET_ENV, value)
+        code, out, err = run_in_process(capsys, partition)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: ${cli.BUDGET_ENV}: {message}\n"
+        # the flag wins over the variable
+        assert run_in_process(capsys, partition + ["--budget", "1000"])[0] == EXIT_OK
+
+
 def test_dual_command(tmp_path, capsys):
     l = write(tmp_path, "l.txt", ((-6,),))
     k = write(tmp_path, "k.txt", ((2, 0), (0, 4)))
@@ -265,6 +297,7 @@ def test_console_entry_point(tmp_path):
 # sha256 of stdout, recorded before the Jordan block path replaced block
 # enumeration: the path must not change a byte of the output
 HIDDEN_4_12_12 = ((16, 20, 0), (20, 40, -12), (0, -12, 12))  # t(g) diag(4, 12, 12) g
+K_10799 = ((4, 0, -9, 10), (0, -16, 3, 9), (-9, 3, 2, -1), (10, 9, -1, -20))
 GOLDEN = [
     (["partition", "--json"], ((1, 2), (0, 3)), "lens:2000,3",
      "eac146f010bdefd006d301d24c9fb6a679b916e7e601c3dbacad6254c9bb1211"),
@@ -279,6 +312,13 @@ GOLDEN = [
      "592137e80d6ac87990af8fc05a8cc4d3477792fcfcffa0f99a90cb92b15ae881"),
     (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 1000)), ((-2, 1), (1, -1006)),
      "257c3dc025320554330bf9363caeb06831b7dc4ece0569c149fae39f9f98280e"),
+    # recorded before the three-multiplication readout: l = (4) against an
+    # even 4x4 k with cokernel Z_10799 (5,445 distinct phases), then the
+    # dual theory, coupling (-2) from `dual` on the manifold k (5,400)
+    (["reciprocity", "--json", "--precision", "256"], ((4,),), K_10799,
+     "65da01e0708448186a0c24be2aea495876f6d7672efdbf7e24ff49c8445561c0"),
+    (["partition", "--json"], ((-2,),), K_10799,
+     "0556be3fb9151a20312f5329b7016e7b6d2f8cc912969d5c15cb24722875bccc"),
 ]
 
 

@@ -39,6 +39,8 @@ from helpers import (
     rand_even_symmetric,
     rand_symmetric,
     rand_unimodular,
+    reference_eval_numeric,
+    reference_root_walk,
 )
 
 
@@ -324,6 +326,15 @@ def test_eval_numeric_basics():
     quarters = eval_numeric(CyclotomicSum(
         {Fraction(1, 4): 3, Fraction(1, 2): -2, Fraction(3, 4): 1}))
     assert (quarters.re, quarters.im) == (2, 2)
+
+
+def test_eval_numeric_rejects_precision_below_one_bit():
+    s = CyclotomicSum({Fraction(1, 5): 2})
+    for precision in (0, -1, -1000):
+        with pytest.raises(ValueError, match="precision"):
+            eval_numeric(s, precision)
+    for precision in (1, 2):
+        assert_within_readout_bound(eval_numeric(s, precision), s, precision)
 
 
 def test_conjugate():
@@ -657,6 +668,76 @@ def test_unrelated_denominators_split_into_bounded_roots(monkeypatch):
     assert all(d.bit_length() <= 128 for d in roots)
     assert len(roots) < len(s)
     assert_within_readout_bound(value, s, 128)
+
+
+def _with_multiplicities(s, mode, rng):
+    """s with its multiplicities redrawn: as built, all negative, from two
+    repeated values, or all distinct; an engine sum keeps its integer keys."""
+    if mode == "as built":
+        return s
+    keys = list(s._mults)
+    if mode == "negative":
+        mults = [rng.randint(-9, -1) for _ in keys]
+    elif mode == "repeated":
+        mults = [rng.choice([3, -2]) for _ in keys]
+    else:
+        mults = rng.sample(range(1, 4 * len(keys) + 1), len(keys))
+        mults = [m if rng.random() < 0.5 else -m for m in mults]
+    if s._counts is not None:
+        return CyclotomicSum._from_counts(dict(zip(keys, mults)), s._modulus)
+    return CyclotomicSum(zip(keys, mults))
+
+
+@st.composite
+def walk_cases(draw):
+    """(sum, precision): engine partition and lattice sums, sparse sums with
+    L ~ 10^30, public sums over several roots, and sums with L = 1, 2 or 4,
+    each with its multiplicities as built, all negative, repeated or all
+    distinct."""
+    kind = draw(st.sampled_from(["partition", "lattice", "sparse", "multi-root", "tiny"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "partition":
+        p = rng.randint(1, 600)
+        q = rng.choice([q for q in range(1, p + 1) if math.gcd(p, q) == 1])
+        n = rng.randint(1, 2)
+        c = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        s = partition_function(c, lens_presentation(p, q))
+    elif kind == "lattice":
+        k0 = rand_even_symmetric(rng, 2, -8, 8)
+        assume(det_int(k0) != 0)
+        l = rand_symmetric(rng, rng.randint(1, 2), -4, 4)
+        s = gauss_sum_over_lattice(l, k0, rng.choice([1, -1]))
+    elif kind == "sparse":
+        den = rng.randint(10**29, 10**31)
+        s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-5, 5))
+                          for _ in range(rng.randint(1, 40)))
+    elif kind == "multi-root":
+        dens = [rng.randint(10**8, 10**12) for _ in range(rng.randint(12, 30))]
+        s = CyclotomicSum((Fraction(rng.randrange(1, d), d), rng.randint(1, 5))
+                          for d in dens)
+        assert len(gauss._root_groups(s)) > 1
+    else:
+        den = rng.choice([1, 2, 4])
+        s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-5, 5))
+                          for _ in range(rng.randint(0, 6)))
+    mode = draw(st.sampled_from(["as built", "negative", "repeated", "distinct"]))
+    return _with_multiplicities(s, mode, rng), draw(st.sampled_from([53, 128, 256]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(walk_cases())
+def test_readout_matches_the_reference_walk_bit_for_bit(case):
+    # the same integers as the four-multiplication walk, residue lists in
+    # increasing order, and the same mpf bits out of eval_numeric
+    s, precision = case
+    for den, res in gauss._root_groups(s):
+        keys = [k for k, _ in res]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        width = precision + 2 * den.bit_length() + 8
+        assert gauss._root_walk(den, res, width) == reference_root_walk(den, res, width)
+    value = eval_numeric(s, precision)
+    re, im = reference_eval_numeric(s, precision)
+    assert (value.re._mpf_, value.im._mpf_) == (re._mpf_, im._mpf_)
 
 
 @settings(max_examples=100, deadline=None)
