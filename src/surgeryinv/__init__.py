@@ -5,128 +5,96 @@ matrix of a framed surgery link: Kirby moves, first homology, the torsion
 linking form, abelian Chern-Simons partition functions as exact sums of
 roots of unity, the Gauss-sum reciprocity identity relating a coupling
 matrix and a linking matrix, and the duality it induces between theories.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so the exact kernel
+can be used without loading the Gauss-sum engine or mpmath.
 """
 
-from .exactmat import (
-    BlockDecomposition,
-    SnfResult,
-    block_decompose,
-    det_int,
-    identity,
-    int_inverse,
-    is_even_symmetric,
-    is_symmetric,
-    kron,
-    mat,
-    mat_mul,
-    rank,
-    rat_inverse,
-    signature,
-    smith_normal_form,
-    transpose,
-)
-from .surgery import (
-    apply_move,
-    borromean,
-    coupling_to_even,
-    evenize,
-    hopf,
-    kirby1,
-    kirby1_inverse,
-    kirby2,
-    preset,
-    unknot,
-)
-from .homology import (
-    Group,
-    HomologySummary,
-    LinkingForm,
-    ManifoldPresentation,
-    TorsionGroup,
-    first_homology,
-    full_homology,
-    lens_chain,
-    lens_presentation,
-    linking_form,
-    linking_form_with_generators,
-    presentation,
-)
-from .gauss import (
-    BudgetExceededError,
-    ComplexValue,
-    CyclotomicSum,
-    DEFAULT_TERM_BUDGET,
-    conjugate,
-    coset_representatives,
-    eval_numeric,
-    exponent_phase,
-    gauss_sum_over_lattice,
-    partition_function,
-    phase_mod1,
-)
-from .reciprocity import (
-    DualTheory,
-    ReciprocityReport,
-    chat_from_even,
-    cs_dual,
-    reciprocity_sides,
-)
+import importlib
+
+_MODULE_NAMES = {
+    "exactmat": (
+        "BlockDecomposition",
+        "BudgetExceededError",
+        "DEFAULT_TERM_BUDGET",
+        "SnfResult",
+        "block_decompose",
+        "det_int",
+        "identity",
+        "int_inverse",
+        "is_even_symmetric",
+        "is_symmetric",
+        "kron",
+        "mat",
+        "mat_mul",
+        "rank",
+        "rat_inverse",
+        "signature",
+        "smith_normal_form",
+        "transpose",
+    ),
+    "surgery": (
+        "apply_move",
+        "borromean",
+        "coupling_to_even",
+        "evenize",
+        "hopf",
+        "kirby1",
+        "kirby1_inverse",
+        "kirby2",
+        "preset",
+        "unknot",
+    ),
+    "homology": (
+        "Group",
+        "HomologySummary",
+        "LinkingForm",
+        "ManifoldPresentation",
+        "TorsionGroup",
+        "first_homology",
+        "full_homology",
+        "lens_chain",
+        "lens_presentation",
+        "linking_form",
+        "linking_form_with_generators",
+        "presentation",
+    ),
+    "gauss": (
+        "ComplexValue",
+        "CyclotomicSum",
+        "conjugate",
+        "coset_representatives",
+        "eval_numeric",
+        "exponent_phase",
+        "gauss_sum_over_lattice",
+        "partition_function",
+        "phase_mod1",
+    ),
+    "reciprocity": (
+        "DualTheory",
+        "ReciprocityReport",
+        "chat_from_even",
+        "cs_dual",
+        "reciprocity_sides",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDecomposition",
-    "BudgetExceededError",
-    "ComplexValue",
-    "CyclotomicSum",
-    "DEFAULT_TERM_BUDGET",
-    "DualTheory",
-    "Group",
-    "HomologySummary",
-    "LinkingForm",
-    "ManifoldPresentation",
-    "ReciprocityReport",
-    "SnfResult",
-    "TorsionGroup",
-    "apply_move",
-    "block_decompose",
-    "borromean",
-    "chat_from_even",
-    "conjugate",
-    "coset_representatives",
-    "coupling_to_even",
-    "cs_dual",
-    "det_int",
-    "eval_numeric",
-    "evenize",
-    "exponent_phase",
-    "first_homology",
-    "full_homology",
-    "gauss_sum_over_lattice",
-    "hopf",
-    "identity",
-    "int_inverse",
-    "is_even_symmetric",
-    "is_symmetric",
-    "kirby1",
-    "kirby1_inverse",
-    "kirby2",
-    "kron",
-    "lens_chain",
-    "lens_presentation",
-    "linking_form",
-    "linking_form_with_generators",
-    "mat",
-    "mat_mul",
-    "partition_function",
-    "phase_mod1",
-    "presentation",
-    "preset",
-    "rank",
-    "rat_inverse",
-    "reciprocity_sides",
-    "signature",
-    "smith_normal_form",
-    "transpose",
-    "unknot",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

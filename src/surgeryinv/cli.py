@@ -8,6 +8,10 @@ and flags produce byte-identical text, with exact rationals rendered as
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 term
 budget exceeded.
+
+The kernel commands (snf, homology, linking-form, kirby, evenize) load
+only the exact kernel; the Gauss-sum engine and mpmath are imported by
+the commands that read a sum out (partition, reciprocity, dual).
 """
 
 import argparse
@@ -16,22 +20,13 @@ import json
 import os
 import sys
 
-from mpmath import mp
-
-from .exactmat import smith_normal_form
-from .gauss import (
-    BudgetExceededError,
-    DEFAULT_TERM_BUDGET,
-    eval_numeric,
-    partition_function,
-)
+from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, smith_normal_form
 from .homology import (
     full_homology,
     lens_presentation,
     linking_form_with_generators,
     presentation,
 )
-from .reciprocity import cs_dual, reciprocity_sides
 from .surgery import apply_move, evenize, preset
 
 BUDGET_ENV = "SURGERYINV_BUDGET"
@@ -152,6 +147,8 @@ def _decimal_places(precision):
 
 
 def _num_str(x, precision):
+    from mpmath import mp
+
     with mp.workprec(precision):
         return mp.nstr(+x, _decimal_places(precision))
 
@@ -205,10 +202,12 @@ def _dumps(o, newline="\n"):
 
 
 def _emit(doc, text_lines, args):
+    """Print doc under --json, else the lines text_lines() returns: a
+    command's text-mode lines are built only when they are printed."""
     if args.json:
         print(_dumps(doc))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -244,18 +243,20 @@ def _budget(args):
 def cmd_snf(args):
     m = load_matrix(args.matrix)
     snf = smith_normal_form(m)
+    factors = snf.invariant_factors()
     doc = {
         "command": "snf",
         "input": [list(r) for r in m],
         "u": [list(r) for r in snf.u],
         "d": [list(r) for r in snf.d],
         "v": [list(r) for r in snf.v],
-        "invariant_factors": list(snf.invariant_factors()),
+        "invariant_factors": list(factors),
     }
-    lines = ["# u", format_matrix(snf.u).rstrip(), "# d",
-             format_matrix(snf.d).rstrip(), "# v", format_matrix(snf.v).rstrip(),
-             "# invariant factors: " + " ".join(map(str, snf.invariant_factors()))]
-    _emit(doc, lines, args)
+    _emit(doc, lambda: [
+        "# u", format_matrix(snf.u).rstrip(), "# d", format_matrix(snf.d).rstrip(),
+        "# v", format_matrix(snf.v).rstrip(),
+        "# invariant factors: " + " ".join(map(str, factors)),
+    ], args)
     return EXIT_OK
 
 
@@ -268,12 +269,11 @@ def cmd_homology(args):
         "torsion": list(h.torsion.factors),
         "h": [_group_str(h.h0), _group_str(h.h1), _group_str(h.h2), _group_str(h.h3)],
     }
-    lines = [
+    _emit(doc, lambda: [
         f"b1 = {h.b1}",
         "torsion = " + (" ".join(map(str, h.torsion.factors)) or "(trivial)"),
         f"h0 = {h.h0}", f"h1 = {h.h1}", f"h2 = {h.h2}", f"h3 = {h.h3}",
-    ]
-    _emit(doc, lines, args)
+    ], args)
     return EXIT_OK
 
 
@@ -296,18 +296,24 @@ def cmd_linking_form(args):
         "q_mod1": q_entries,
         "generators": [list(g) for g in gens] if gens is not None else None,
     }
-    lines = [f"t = {form.rank}",
-             "factors = " + (" ".join(map(str, form.factors)) or "(trivial)")]
-    if gens is not None:
-        for i, g in enumerate(gens):
-            lines.append(f"generator {i + 1}: " + " ".join(map(str, g)))
-    for row in q_entries:
-        lines.append("q: " + " ".join(row))
-    _emit(doc, lines, args)
+
+    def text_lines():
+        lines = [f"t = {form.rank}",
+                 "factors = " + (" ".join(map(str, form.factors)) or "(trivial)")]
+        if gens is not None:
+            for i, g in enumerate(gens):
+                lines.append(f"generator {i + 1}: " + " ".join(map(str, g)))
+        for row in q_entries:
+            lines.append("q: " + " ".join(row))
+        return lines
+
+    _emit(doc, text_lines, args)
     return EXIT_OK
 
 
 def cmd_partition(args):
+    from .gauss import eval_numeric, partition_function
+
     c = load_matrix(args.coupling)
     man = load_manifold(args.manifold)
     z = partition_function(c, man, budget=_budget(args))
@@ -327,18 +333,24 @@ def cmd_partition(args):
             "normalization_caveat": man.b1 > 0,
         },
     }
-    lines = [
-        "phases (num/den multiplicity):",
-        *[f"  {ph} {m}" for ph, m in doc["phases"]],
-        f"value = {doc['value']['re']} + {doc['value']['im']} i",
-    ]
-    if man.b1 > 0:
-        lines.append("# note: b1 > 0, free sector absorbed into normalization")
-    _emit(doc, lines, args)
+
+    def text_lines():
+        lines = [
+            "phases (num/den multiplicity):",
+            *[f"  {ph} {m}" for ph, m in doc["phases"]],
+            f"value = {doc['value']['re']} + {doc['value']['im']} i",
+        ]
+        if man.b1 > 0:
+            lines.append("# note: b1 > 0, free sector absorbed into normalization")
+        return lines
+
+    _emit(doc, text_lines, args)
     return EXIT_OK
 
 
 def cmd_reciprocity(args):
+    from .reciprocity import reciprocity_sides
+
     l = load_matrix(args.l)
     k = load_matrix(args.k)
     report = reciprocity_sides(l, k, precision=args.precision,
@@ -358,17 +370,21 @@ def cmd_reciprocity(args):
         "l_even": report.l_even,
         "precision": report.precision,
     }
-    lines = [
-        f"lhs = {doc['lhs']['re']} + {doc['lhs']['im']} i",
-        f"rhs = {doc['rhs']['re']} + {doc['rhs']['im']} i",
-        f"|lhs - rhs| = {doc['abs_diff']}",
-        f"sigma(k) = {report.sigma_k}, sigma(l) = {report.sigma_l}",
-        f"det k0 = {report.det_k0}, det l0 = {report.det_l0}",
-    ]
-    if not report.l_even:
-        lines.append("# note: l has an odd diagonal; the identity requires "
-                     "evenness only of k")
-    _emit(doc, lines, args)
+
+    def text_lines():
+        lines = [
+            f"lhs = {doc['lhs']['re']} + {doc['lhs']['im']} i",
+            f"rhs = {doc['rhs']['re']} + {doc['rhs']['im']} i",
+            f"|lhs - rhs| = {doc['abs_diff']}",
+            f"sigma(k) = {report.sigma_k}, sigma(l) = {report.sigma_l}",
+            f"det k0 = {report.det_k0}, det l0 = {report.det_l0}",
+        ]
+        if not report.l_even:
+            lines.append("# note: l has an odd diagonal; the identity requires "
+                         "evenness only of k")
+        return lines
+
+    _emit(doc, text_lines, args)
     return EXIT_OK
 
 
@@ -405,21 +421,23 @@ def cmd_kirby(args):
     move = _parse_move(args.move, args.args)
     out = apply_move(m, move)
     _emit({"command": "kirby", "matrix": [list(r) for r in out]},
-          [format_matrix(out)[:-1]], args)
+          lambda: [format_matrix(out)[:-1]], args)
     return EXIT_OK
 
 
 def cmd_evenize(args):
     m = load_matrix(args.matrix)
-    out, transcript = evenize(m)
+    out, transcript = evenize(m, budget=_budget(args))
     moves = [_move_text(mv) for mv in transcript]
     doc = {"command": "evenize", "matrix": [list(r) for r in out], "transcript": moves}
-    lines = [format_matrix(out)[:-1], *(f"# move: {mv}" for mv in moves)]
-    _emit(doc, lines, args)
+    _emit(doc, lambda: [format_matrix(out)[:-1], *(f"# move: {mv}" for mv in moves)],
+          args)
     return EXIT_OK
 
 
 def cmd_dual(args):
+    from .reciprocity import cs_dual
+
     l = load_matrix(args.l)
     k = load_matrix(args.k)
     dual = cs_dual(l, k)
@@ -428,9 +446,10 @@ def cmd_dual(args):
         "dual_linking": [list(r) for r in dual.linking],
         "dual_coupling": [list(r) for r in dual.coupling],
     }
-    lines = ["# dual linking matrix", format_matrix(dual.linking)[:-1],
-             "# dual coupling matrix", format_matrix(dual.coupling)[:-1]]
-    _emit(doc, lines, args)
+    _emit(doc, lambda: [
+        "# dual linking matrix", format_matrix(dual.linking)[:-1],
+        "# dual coupling matrix", format_matrix(dual.coupling)[:-1],
+    ], args)
     return EXIT_OK
 
 
@@ -501,7 +520,9 @@ def build_parser():
     p = sub.add_parser("evenize", help="make all framings even via Kirby moves")
     p.add_argument("matrix")
     common(p)
-    p.set_defaults(fn=cmd_evenize)
+    # no --budget flag: the output size is held to $SURGERYINV_BUDGET or
+    # the default
+    p.set_defaults(fn=cmd_evenize, budget=None)
 
     p = sub.add_parser("dual", help="dual theory data (linking, coupling)")
     p.add_argument("--l", required=True, help="even linking matrix file")

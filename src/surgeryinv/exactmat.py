@@ -6,10 +6,22 @@ Everything here is exact: no floating point enters any computation, and
 all transforms come with certificates (d = u*a*v for the Smith form,
 t(p)*a*p = diag(a0, 0) for the block decomposition) that the test suite
 checks verbatim.
+
+The term budget that bounds every exponential step (Gauss-sum summands in
+gauss, the evenized matrix in surgery) is defined here, in the module
+every other one imports, so that the exact kernel commands load no
+Gauss-sum code.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+
+DEFAULT_TERM_BUDGET = 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed the configured term budget: the summands
+    of a Gauss sum, or the entries of an evenized linking matrix."""
 
 
 def mat(rows):
@@ -159,8 +171,7 @@ def int_inverse(u):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "u d v")):
     """Smith normal form d = u * a * v with u, v unimodular.
 
     d is diagonal with nonnegative entries in a divisibility chain
@@ -168,9 +179,7 @@ class SnfResult:
     cokernel of a, padded with zeros up to min(shape).
     """
 
-    u: tuple
-    d: tuple
-    v: tuple
+    __slots__ = ()
 
     def invariant_factors(self):
         return tuple(x for x in diagonal(self.d) if x != 0)
@@ -353,16 +362,13 @@ def signature(a):
     return sig
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(namedtuple("BlockDecomposition", "p a0 rank")):
     """Unimodular congruence t(p) * a * p = diag(a0, 0) with a0 nonsingular.
 
     rank is the rank of a over the rationals, i.e. the size of a0.
     """
 
-    p: tuple
-    a0: tuple
-    rank: int
+    __slots__ = ()
 
 
 def block_decompose(a):

@@ -12,7 +12,8 @@ multiplications per set bit of each gap between consecutive residues, one
 multiplication per distinct multiplicity, and one final rounding.
 Denominators whose lcm exceeds 128 bits are split into groups below that
 size, one root each; an engine sum has L at most twice the exponent of
-its group, so it is one group unless that exponent exceeds 2^127.
+its group, so it is one group unless that exponent exceeds 2^127.  mpmath
+is imported by the first readout, not with this module.
 
 The partition function of a U(1)^n theory with integer coupling matrix C
 on a manifold with torsion group T and linking form Q is the sum over
@@ -46,21 +47,12 @@ each block stands for, and every convolution step of the blocks.
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from mpmath import mp
-
-from .exactmat import is_symmetric
+from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, is_symmetric
 from .homology import _torsion_module
 from .surgery import coupling_to_even
-
-DEFAULT_TERM_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured number of summands."""
 
 
 def phase_mod1(x):
@@ -166,18 +158,18 @@ def conjugate(s):
     return CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
 
 
-@dataclass(frozen=True)
-class ComplexValue:
-    """A complex number evaluated at a fixed binary precision."""
+class ComplexValue(namedtuple("ComplexValue", "re im precision")):
+    """A complex number evaluated at a fixed binary precision: re and im
+    are mpmath numbers, precision is in bits."""
 
-    re: object
-    im: object
-    precision: int
+    __slots__ = ()
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
     def abs(self):
+        from mpmath import mp
+
         with mp.workprec(self.precision):
             return +mp.hypot(self.re, self.im)
 
@@ -227,6 +219,8 @@ def eval_numeric(s, precision=128):
             re, im, width = re << (w - width), im << (w - width), w
         re += part_re << (width - w)
         im += part_im << (width - w)
+    from mpmath import mp
+
     with mp.workprec(precision):
         return ComplexValue(mp.mpf((re, -width)), mp.mpf((im, -width)), precision)
 
@@ -277,6 +271,8 @@ def _root_walk(den, residues, width):
     """
     table = []
     if den > 1:
+        from mpmath import mp
+
         with mp.workprec(width + 10):
             z = mp.expjpi(mp.mpf(2) / den)
             c = int(mp.nint(mp.ldexp(z.real, width)))
@@ -403,8 +399,7 @@ def _check_budget(radix, ncopies, budget):
         )
 
 
-@dataclass(frozen=True)
-class _QuadraticModule:
+class _QuadraticModule(namedtuple("_QuadraticModule", "factors gram modulus")):
     """Finite abelian group on cyclic generators, with an integer pairing.
 
     Generator a has order factors[a]; an element is a coordinate vector u
@@ -412,9 +407,7 @@ class _QuadraticModule:
     modulo `modulus`.
     """
 
-    factors: tuple
-    gram: tuple
-    modulus: int
+    __slots__ = ()
 
     @property
     def order(self):

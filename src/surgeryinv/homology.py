@@ -9,36 +9,34 @@ with no matrix inverse (see linking_form_with_generators).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactmat import _rank, _smith, _split_off_kernel, is_symmetric
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(namedtuple("TorsionGroup", "factors")):
     """Finite abelian group in invariant-factor form p1 | p2 | ... | pt."""
 
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p < 2 for p in self.factors):
+    def __new__(cls, factors):
+        if any(p < 2 for p in factors):
             raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, factors)
 
     @property
     def order(self):
         return math.prod(self.factors)
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(namedtuple("Group", "free_rank factors", defaults=((),))):
     """Finitely generated abelian group: free rank plus torsion factors."""
 
-    free_rank: int
-    factors: tuple = ()
+    __slots__ = ()
 
     def __str__(self):
         parts = []
@@ -50,24 +48,18 @@ class Group:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(namedtuple("HomologySummary", "b1 torsion h0 h1 h2 h3")):
     """All homology of the closed oriented 3-manifold, fixed by (b1, torsion).
 
-    Poincare duality and universal coefficients force h0 = h3 = Z,
-    h1 = Z^b1 + torsion and h2 = Z^b1.
+    b1 is an int, torsion a TorsionGroup and h0..h3 are Groups.  Poincare
+    duality and universal coefficients force h0 = h3 = Z, h1 = Z^b1 +
+    torsion and h2 = Z^b1.
     """
 
-    b1: int
-    torsion: TorsionGroup
-    h0: Group
-    h1: Group
-    h2: Group
-    h3: Group
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkingForm:
+class LinkingForm(namedtuple("LinkingForm", "factors q")):
     """Symmetric bilinear form on the torsion group, valued in Q/Z.
 
     q holds exact rationals that are only reduced into [0,1) at comparison
@@ -76,8 +68,7 @@ class LinkingForm:
     any entry of row i is an integer.
     """
 
-    factors: tuple
-    q: tuple
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -177,13 +168,10 @@ def _check_form(form):
                 raise AssertionError("linking form not symmetric mod 1")
 
 
-@dataclass(frozen=True)
-class ManifoldPresentation:
-    """A linking matrix together with its homology and linking form."""
+class ManifoldPresentation(namedtuple("ManifoldPresentation", "matrix homology form")):
+    """A linking matrix together with its HomologySummary and LinkingForm."""
 
-    matrix: tuple
-    homology: HomologySummary
-    form: LinkingForm
+    __slots__ = ()
 
     @property
     def b1(self):

@@ -14,9 +14,7 @@ exchange of the roles of coupling and linking matrix is the duality
 implemented by cs_dual.
 """
 
-from dataclasses import dataclass
-
-from mpmath import mp
+from collections import namedtuple
 
 from .exactmat import (
     block_decompose,
@@ -29,29 +27,20 @@ from .exactmat import (
 from .gauss import ComplexValue, eval_numeric, gauss_sum_over_lattice
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(namedtuple(
+        "ReciprocityReport",
+        "lhs rhs abs_diff sigma_k sigma_l det_k0 det_l0 m n r s l_even precision")):
     """Numeric evaluation of both sides of the reciprocity identity.
 
+    lhs and rhs are ComplexValues and abs_diff an mpmath number, all at
+    `precision` bits; the signatures and determinants are exact ints.
     m, n are the sizes of the linking matrix l and the coupling matrix k;
     r, s their ranks.  l_even records whether l had an even diagonal (the
     identity requires evenness only of k, but an odd l means the left-hand
     sum depends on the fixed representative convention).
     """
 
-    lhs: ComplexValue
-    rhs: ComplexValue
-    abs_diff: object
-    sigma_k: int
-    sigma_l: int
-    det_k0: int
-    det_l0: int
-    m: int
-    n: int
-    r: int
-    s: int
-    l_even: bool
-    precision: int
+    __slots__ = ()
 
 
 def chat_from_even(l):
@@ -100,6 +89,8 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     lhs_sum = gauss_sum_over_lattice(l, dec_k.a0, +1, budget=budget)
     rhs_sum = gauss_sum_over_lattice(k, dec_l.a0, -1, budget=budget)
 
+    from mpmath import mp
+
     with mp.workprec(precision):
         lv = eval_numeric(lhs_sum, precision)
         rv = eval_numeric(rhs_sum, precision)
@@ -129,12 +120,10 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     )
 
 
-@dataclass(frozen=True)
-class DualTheory:
+class DualTheory(namedtuple("DualTheory", "linking coupling")):
     """The dual data: linking matrix k, coupling matrix built from -l."""
 
-    linking: tuple
-    coupling: tuple
+    __slots__ = ()
 
 
 def cs_dual(l, k):

@@ -11,7 +11,13 @@ Indices are 0-based throughout the library (the command line front end
 speaks 1-based).
 """
 
-from .exactmat import is_symmetric, mat, shape
+from .exactmat import (
+    DEFAULT_TERM_BUDGET,
+    BudgetExceededError,
+    is_symmetric,
+    mat,
+    shape,
+)
 
 
 def unknot(framing):
@@ -156,11 +162,14 @@ def _solve_gf2(rows_mod2, target):
     return {pivot_cols[i] for i in range(r) if (aug[i] >> n) & 1}
 
 
-def evenize(l):
+def evenize(l, budget=None):
     """Make every framing even by a sequence of Kirby moves.
 
     Returns (even_matrix, transcript); replaying the transcript with
-    apply_move on the input reproduces the output exactly.
+    apply_move on the input reproduces the output exactly.  The output
+    size is known before the first move: n + |t(chi_S) L chi_S| for the
+    subset S below.  When its size^2 entries exceed the term budget
+    (default DEFAULT_TERM_BUDGET) it raises BudgetExceededError.
 
     Method: border the matrix with one +1-framed pivot component and slide
     it over a subset S of the old components chosen so that afterwards
@@ -212,6 +221,14 @@ def evenize(l):
     ]
     target = [l[i][i] & 1 for i in range(n)]
     subset = _solve_gf2(rows_mod2, target)
+    # the pivot ends its slides with framing 1 + t(chi_S) L chi_S, and each
+    # unit of distance from 1 costs one auxiliary component
+    size = n + abs(sum(l[i][j] for i in subset for j in subset))
+    budget = DEFAULT_TERM_BUDGET if budget is None else budget
+    if size * size > budget:
+        raise BudgetExceededError(
+            f"the evenized {size}x{size} matrix exceeds the term budget of {budget}"
+        )
 
     pivot = n
     border(1)

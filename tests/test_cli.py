@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +277,17 @@ def test_evenize_transcript_replays_bit_exactly(tmp_path, capsys):
         assert replayed == final_text
 
 
+def test_evenize_refuses_a_huge_output_before_the_first_move(tmp_path, capsys, monkeypatch):
+    # framing 100001 would evenize to a 100002x100002 matrix (10^10 entries)
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    m = write(tmp_path, "m.txt", ((100001,),))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["evenize", m, "--json"])
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert "100002x100002" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     c = write(tmp_path, "c.txt", ((1, 1), (0, 2)))
     argv = ["partition", "--coupling", c, "--manifold", "lens:12,5", "--json"]
@@ -350,6 +362,53 @@ def run_fresh(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+IMPORT_PROBE = """
+import contextlib, hashlib, io, json, sys
+import surgeryinv
+from surgeryinv import cli, exactmat
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+kernel, partition = json.loads(sys.argv[1])
+codes = [run(argv)[0] for argv in kernel]
+loaded = [name for name in ("mpmath", "surgeryinv.gauss", "surgeryinv.reciprocity",
+                            "dataclasses") if name in sys.modules]
+pinned = run(partition)
+from surgeryinv import gauss
+print(json.dumps({
+    "codes": codes, "loaded": loaded, "partition": pinned,
+    "missing": [n for n in surgeryinv.__all__ if not hasattr(surgeryinv, n)],
+    "one_budget": surgeryinv.BudgetExceededError is gauss.BudgetExceededError
+                  is getattr(exactmat, "BudgetExceededError", None),
+}))
+"""
+
+
+def test_kernel_commands_load_no_gauss_sum_code(tmp_path):
+    m = write(tmp_path, "m.txt", ((3, 1, 0), (1, 2, 1), (0, 1, -5)))
+    kernel = [[command, m, *flags] for command in ("snf", "homology", "linking-form",
+                                                   "evenize")
+              for flags in ([], ["--json"])]
+    kernel += [["homology", "--preset", "lens:7,2"], ["linking-form", "--preset", "lens:7,2"],
+               ["kirby", m, "--move", "2", "--args", "1,2,+1", "--json"]]
+    argv, a, b, digest = GOLDEN[1]
+    partition = argv + ["--coupling", write(tmp_path, "c.txt", a), "--manifold", b]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                           json.dumps([kernel, partition])],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_OK] * len(kernel)
+    assert got["loaded"] == []
+    assert got["partition"] == [EXIT_OK, digest]
+    assert got["missing"] == [] and got["one_budget"]
+
+
 def run_in_process(capsys, argv):
     """Like run_cli, but an argparse exit (usage error, --help) is a result."""
     try:
@@ -401,6 +460,7 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
     partition = ["partition", "--coupling", c, "--manifold", "lens:11,1"]
     steps = [
         partition + ["--budget", "1000"],
+        ["evenize", m],
         "budget env",
         partition,
         ["homology", "--preset", "borromean"],
@@ -409,6 +469,7 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
         ["snf", m, "--json"],
         partition + ["--budget", "5"],
         ["linking-form", "--help"],
+        # the variable holds evenize's output to 5 entries too
         ["evenize", m],
     ]
     codes = []
@@ -419,8 +480,8 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
         got = run_in_process(capsys, argv)
         assert got == run_fresh(argv), argv
         codes.append(got[0])
-    assert codes == [EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, 2, EXIT_OK,
-                     EXIT_BUDGET, 0, EXIT_OK]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, 2, EXIT_OK,
+                     EXIT_BUDGET, 0, EXIT_BUDGET]
 
 
 def test_commands_reach_helpers_through_module_globals(tmp_path, capsys, monkeypatch):

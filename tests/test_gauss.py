@@ -628,14 +628,15 @@ def test_readout_is_within_its_error_bound(case):
 
 
 def test_readout_takes_one_transcendental_per_sum(monkeypatch):
+    # the readout imports mpmath when it runs, so count on the shared context
     calls = []
-    expjpi = gauss.mp.expjpi
+    expjpi = mp.expjpi
 
     def counting(x):
         calls.append(x)
         return expjpi(x)
 
-    monkeypatch.setattr(gauss.mp, "expjpi", counting)
+    monkeypatch.setattr(mp, "expjpi", counting)
     rng = random.Random(5000)
     dense = CyclotomicSum(
         {Fraction(k, 5000): rng.choice([-3, -1, 1, 2]) for k in range(5000)})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surgeryinv.exactmat import det_int, mat_mul, transpose
+from surgeryinv.exactmat import BudgetExceededError, det_int, mat_mul, transpose
 from surgeryinv.homology import first_homology
 from surgeryinv.surgery import (
     apply_move,
@@ -162,6 +162,27 @@ def test_evenize_random_suite():
         for move in transcript:
             replay = apply_move(replay, move)
         assert replay == out
+
+
+def test_evenize_output_grows_with_the_framing():
+    out, transcript = evenize(((101,),))
+    assert len(out) == 102 and len(transcript) == 407
+    with pytest.raises(BudgetExceededError, match="102x102"):
+        evenize(((101,),), budget=100)
+
+
+def test_evenize_budget_holds_the_exact_output_size():
+    # the size is predicted before the first move: a budget of size^2
+    # entries passes and one entry less refuses
+    rng = random.Random(204)
+    for _ in range(60):
+        l = rand_symmetric(rng, rng.randint(1, 5), -9, 9)
+        out, transcript = evenize(l)
+        size = len(out)
+        assert evenize(l, budget=size * size) == (out, transcript)
+        if transcript:
+            with pytest.raises(BudgetExceededError):
+                evenize(l, budget=size * size - 1)
 
 
 def test_evenize_mod2_obstruction_case():
