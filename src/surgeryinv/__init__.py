@@ -25,10 +25,8 @@ _MODULE_NAMES = {
         "int_inverse",
         "is_even_symmetric",
         "is_symmetric",
-        "kron",
         "mat",
         "mat_mul",
-        "rank",
         "rat_inverse",
         "signature",
         "smith_normal_form",
@@ -66,7 +64,6 @@ _MODULE_NAMES = {
         "conjugate",
         "coset_representatives",
         "eval_numeric",
-        "exponent_phase",
         "gauss_sum_over_lattice",
         "partition_function",
         "phase_mod1",

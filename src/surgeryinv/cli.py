@@ -164,10 +164,6 @@ def _phases_doc(s):
     return [[f"{num}/{den}", m] for num, den, m in s._reduced_items()]
 
 
-def _group_str(g):
-    return str(g)
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -267,7 +263,7 @@ def cmd_homology(args):
         "input": [list(r) for r in matrix],
         "b1": h.b1,
         "torsion": list(h.torsion.factors),
-        "h": [_group_str(h.h0), _group_str(h.h1), _group_str(h.h2), _group_str(h.h3)],
+        "h": [str(h.h0), str(h.h1), str(h.h2), str(h.h3)],
     }
     _emit(doc, lambda: [
         f"b1 = {h.b1}",

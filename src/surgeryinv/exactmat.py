@@ -42,10 +42,6 @@ def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def zeros(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
@@ -65,11 +61,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def is_square(a):
-    r, c = shape(a)
-    return r == c
-
-
 def is_symmetric(a):
     r, c = shape(a)
     return r == c and all(tuple(row) == col for row, col in zip(a, zip(*a)))
@@ -81,25 +72,6 @@ def is_even_symmetric(a):
 
 def diagonal(a):
     return tuple(a[i][i] for i in range(min(shape(a))))
-
-
-def direct_sum(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    top = tuple(row + (0,) * cb for row in a)
-    bottom = tuple((0,) * ca + row for row in b)
-    return top + bottom
-
-
-def kron(a, b):
-    """Kronecker product, exact.  Mixed int/Fraction entries are fine."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(ca) for l in range(cb))
-        for i in range(ra)
-        for k in range(rb)
-    )
 
 
 def det_int(a):
@@ -199,7 +171,7 @@ def smith_normal_form(a):
     grow far beyond the size of det(a), so this is the expensive way to
     learn the invariant factors.  Only the snf command prints u and v;
     homology, linking forms and block decompositions run the same
-    elimination without u (and, for homology and rank, without v).
+    elimination without u (and, for homology, without v).
     """
     d, u, v = _smith(a, True, True)
     return SnfResult(mat(u), mat(d), mat(v))
@@ -305,10 +277,6 @@ def _smith(a, keep_u, keep_v):
 def _rank(d):
     """Rank of a matrix from its Smith form d (zeros trail the diagonal)."""
     return sum(1 for i in range(min(shape(d))) if d[i][i])
-
-
-def rank(a):
-    return _rank(_smith(a, False, False)[0])
 
 
 def signature(a):

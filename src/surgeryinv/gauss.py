@@ -24,25 +24,26 @@ exactly what makes each term independent of the representative choice.
 Both that sum and the lattice sums of the reciprocity identity go through
 one engine over a finite quadratic module: cyclic generators with their
 orders, an integer Gram matrix and a modulus, read off the linking form
-of the manifold or of the lattice sum's modulus matrix.  When each term
-depends only on the group element, the module splits orthogonally into
-p-primary blocks and the phase histogram over T^n is the cyclic
-convolution of the block histograms, whose steps cost at most the product
-of the key counts of the blocks so far times the next block's.  No block
-is enumerated.  A block's key is a quadratic form on T_p^n; symmetric
-elimination over Z/p^m (p^m the p-part of the modulus) splits it into
-Jordan summands of rank 1, and for p = 2 also of rank 2 (Wall; Conway-
-Sloane, SPLAG ch. 15).  Each rank-1 summand is enumerated, at most p^e
-values for a block of exponent p^e; each rank-2 summand has a closed form
-with at most 2^e keys.  Scaling u by a unit multiplies every key by a
-unit square, so every histogram is a function of its key's class under
-unit squares (2m + 1 classes for odd p, about 4m for p = 2), and each
-convolution of summands is evaluated at one representative per class and
-then expanded over Z/p^m.  A block thus costs about |T_p| work rather
-than |T_p|^n.  When a term depends on the fixed representatives (an odd
-summand matrix over an odd modulus matrix), the whole box is enumerated,
-|T|^n summands.  The term budget bounds |T_p|^n, the number of summands
-each block stands for, and every convolution step of the blocks.
+of the manifold or of the lattice sum's modulus matrix.  A sum is defined
+only when each term depends only on the group element; a sum whose terms
+depend on the fixed representatives (possible only for an odd summand
+matrix over an odd modulus matrix) is refused with ValueError.  The
+module then splits orthogonally into p-primary blocks and the phase
+histogram over T^n is the cyclic convolution of the block histograms,
+whose steps cost at most the product of the key counts of the blocks so
+far times the next block's.  No block is enumerated.  A block's key is a
+quadratic form on T_p^n; symmetric elimination over Z/p^m (p^m the
+p-part of the modulus) splits it into Jordan summands of rank 1, and for
+p = 2 also of rank 2 (Wall; Conway-Sloane, SPLAG ch. 15).  Each rank-1
+summand is enumerated, at most p^e values for a block of exponent p^e;
+each rank-2 summand has a closed form with at most 2^e keys.  Scaling u
+by a unit multiplies every key by a unit square, so every histogram is a
+function of its key's class under unit squares (2m + 1 classes for odd
+p, about 4m for p = 2), and each convolution of summands is evaluated at
+one representative per class and then expanded over Z/p^m.  A block thus
+costs about |T_p| work rather than |T_p|^n.  The term budget bounds
+|T_p|^n, the number of summands each block stands for, and every
+convolution step of the blocks.
 """
 
 import itertools
@@ -65,86 +66,63 @@ class CyclotomicSum:
     """Finite multiset of phases: the exact value of a sum of roots of unity.
 
     Terms map a phase r in [0,1) to an integer multiplicity; zero
-    multiplicities are never stored.  Equality is structural (same phases,
-    same multiplicities); value comparisons across differently-built sums
-    go through eval_numeric, since no canonicalization by vanishing
-    root-of-unity relations is attempted.  A sum the engine builds keeps
-    its integer keys over one modulus and makes its Fraction phases only
-    when they are asked for.
+    multiplicities are never stored.  Every sum is held as integer keys k
+    over one modulus M, the phase of k being k/M: the engine builds its
+    sums that way, and the public constructor writes its phases over the
+    lcm of their denominators.  Equality is structural (same phases, same
+    multiplicities); value comparisons across differently-built sums go
+    through eval_numeric, since no canonicalization by vanishing
+    root-of-unity relations is attempted.
     """
 
-    __slots__ = ("_phases", "_counts", "_modulus")
+    __slots__ = ("_counts", "_modulus")
 
     def __init__(self, terms=()):
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for phase, mult in items:
-            if mult == 0:
-                continue
-            p = phase_mod1(phase)
-            m = clean.get(p, 0) + mult
-            if m:
-                clean[p] = m
-            else:
-                del clean[p]
-        self._phases = clean
-        self._counts = self._modulus = None
+            if mult:
+                p = phase_mod1(phase)
+                clean[p] = clean.get(p, 0) + mult
+        clean = {p: m for p, m in clean.items() if m}
+        modulus = math.lcm(*(p.denominator for p in clean))
+        self._counts = {p.numerator * (modulus // p.denominator): m
+                        for p, m in clean.items()}
+        self._modulus = modulus
 
     @classmethod
     def _from_counts(cls, counts, modulus):
         """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], for
         distinct keys k in [0, modulus) with nonzero counts."""
         s = cls.__new__(cls)
-        s._phases, s._counts, s._modulus = None, counts, modulus
+        s._counts, s._modulus = counts, modulus
         return s
-
-    @property
-    def _terms(self):
-        """Phase -> multiplicity, the phases reduced Fractions in [0, 1)."""
-        if self._phases is None:
-            m = self._modulus
-            self._phases = {Fraction(k, m): v for k, v in self._counts.items()}
-        return self._phases
-
-    @property
-    def _mults(self):
-        """The multiplicities, keyed by phase or by integer key."""
-        return self._phases if self._counts is None else self._counts
 
     def items(self):
         """Term list sorted by phase; the canonical iteration order."""
-        if self._counts is not None:
-            m = self._modulus
-            return tuple((Fraction(k, m), v) for k, v in sorted(self._counts.items()))
-        den = math.lcm(*{p.denominator for p in self._phases})
-        return tuple(sorted(
-            self._phases.items(),
-            key=lambda t: t[0].numerator * (den // t[0].denominator),
-        ))
+        m = self._modulus
+        return tuple((Fraction(k, m), v) for k, v in sorted(self._counts.items()))
 
     def _reduced_items(self):
         """(numerator, denominator, multiplicity) per phase in lowest terms,
-        sorted by phase, with no Fraction made for an engine sum."""
-        if self._counts is None:
-            return [(p.numerator, p.denominator, v) for p, v in self.items()]
+        sorted by phase, with no Fraction made."""
         m, gcd = self._modulus, math.gcd
         return [(k // g, m // g, v)
                 for k, v in sorted(self._counts.items()) for g in (gcd(k, m),)]
 
     @property
     def total_multiplicity(self):
-        return sum(self._mults.values())
+        return sum(self._counts.values())
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicSum):
             return NotImplemented
-        if self._counts is not None and other._counts is not None \
-                and self._modulus == other._modulus:
+        if self._modulus == other._modulus:
             return self._counts == other._counts
-        return self._terms == other._terms
+        return self._reduced_items() == other._reduced_items()
 
     def __len__(self):
-        return len(self._mults)
+        return len(self._counts)
 
     def __repr__(self):
         inner = ", ".join(f"{p}: {m}" for p, m in self.items())
@@ -153,9 +131,7 @@ class CyclotomicSum:
 
 def conjugate(s):
     """Complex conjugation: every phase r becomes -r mod 1."""
-    if s._counts is not None:
-        return _counts_to_sum(s._counts, s._modulus, flip=True)
-    return CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
+    return _counts_to_sum(s._counts, s._modulus, flip=True)
 
 
 class ComplexValue(namedtuple("ComplexValue", "re im precision")):
@@ -208,9 +184,9 @@ def eval_numeric(s, precision=128):
     """
     if precision < 1:
         raise ValueError(f"precision must be at least 1 bit, not {precision}")
-    mults = s._mults
-    slack = (precision + len(mults).bit_length()
-             + sum(map(abs, mults.values())).bit_length() + 8)
+    counts = s._counts
+    slack = (precision + len(counts).bit_length()
+             + sum(map(abs, counts.values())).bit_length() + 8)
     re = im = width = 0
     for den, res in _root_groups(s):
         w = slack + 2 * den.bit_length()
@@ -229,31 +205,32 @@ def _root_groups(s):
     """The phases of s as residues over a few roots: a list of pairs
     (L, [(k, mult), ...]) in increasing k, each phase being k/L.
 
+    Key k over the modulus M has the phase's denominator M / gcd(k, M).
     Phases are grouped by increasing denominator while the lcm L of the
-    group stays within _ROOT_BITS bits.  A sum the engine built has one
-    modulus M; its phases' lcm is M / gcd(M, keys), and when that fits one
-    root it is read from the integer keys, the same group the phases give.
+    group stays within _ROOT_BITS bits.  The lcm of all the denominators
+    is M / gcd(M, keys); when it fits, as it does for every engine sum
+    unless the exponent of its group exceeds 2^127, the phases form one
+    group, read from the keys divided by that gcd.
     """
-    if s._counts is not None:
-        counts = s._counts
-        g = math.gcd(s._modulus, *counts)
-        den = s._modulus // g
-        if den.bit_length() <= _ROOT_BITS:
-            return [(den, [(k // g, counts[k]) for k in sorted(counts)])]
-    terms = s._terms
+    m, counts = s._modulus, s._counts
+    keys = sorted(counts)
+    g = math.gcd(m, *keys)
+    if (m // g).bit_length() <= _ROOT_BITS:
+        return [(m // g, [(k // g, counts[k]) for k in keys])]
+    dens = [m // math.gcd(k, m) for k in keys]
     roots = []
     group = {}
-    for d in sorted({p.denominator for p in terms}):
+    for d in sorted(set(dens)):
         if roots and math.lcm(roots[-1], d).bit_length() <= _ROOT_BITS:
             roots[-1] = math.lcm(roots[-1], d)
         else:
             roots.append(d)
         group[d] = len(roots) - 1
     residues = [[] for _ in roots]
-    for p, m in terms.items():
-        i = group[p.denominator]
-        residues[i].append((p.numerator * (roots[i] // p.denominator), m))
-    return [(den, sorted(res)) for den, res in zip(roots, residues)]
+    for k, d in zip(keys, dens):
+        i = group[d]
+        residues[i].append((k // (m // d) * (roots[i] // d), counts[k]))
+    return list(zip(roots, residues))
 
 
 def _root_walk(den, residues, width):
@@ -301,85 +278,6 @@ def _root_walk(den, residues, width):
     re = sum(mult * acc[0] for mult, acc in sums.items())
     im = sum(mult * acc[1] for mult, acc in sums.items())
     return re, im
-
-
-def _quadratic_value(coeff, q, u, block):
-    """t(u) (coeff x q) u for u split into len(coeff) blocks of size `block`."""
-    n = len(coeff)
-    total = Fraction(0)
-    for i in range(n):
-        ui = u[i * block:(i + 1) * block]
-        for j in range(n):
-            if coeff[i][j] == 0:
-                continue
-            uj = u[j * block:(j + 1) * block]
-            total += coeff[i][j] * sum(
-                ui[a] * q[a][b] * uj[b] for a in range(block) for b in range(block)
-            )
-    return total
-
-
-def quadratic_phase(k, form, u):
-    """Phase of one partition-function term, with no range validation.
-
-    Returns -(1/2) t(u) (k x Q) u mod 1.  Exposed separately so that
-    representative-shift identities (u -> u + p e) can be checked, which
-    exponent_phase itself rejects by contract.
-    """
-    return phase_mod1(-_quadratic_value(k, form.q, u, form.rank) / 2)
-
-
-def exponent_phase(k, form, u):
-    """Exact phase of the partition-function term at representative u.
-
-    k must be symmetric with even diagonal; u concatenates one block of
-    fundamental representatives (0 <= u_a < p_a) per U(1) factor.
-    """
-    n = len(k)
-    if not is_symmetric(k) or any(k[i][i] % 2 for i in range(n)):
-        raise ValueError("coupling matrix must be symmetric with even diagonal")
-    t = form.rank
-    if len(u) != n * t:
-        raise ValueError("representative vector has the wrong length")
-    for idx, x in enumerate(u):
-        p = form.factors[idx % t]
-        if not 0 <= x < p:
-            raise ValueError(f"representative {x} out of range [0, {p})")
-    return quadratic_phase(k, form, u)
-
-
-def _accumulate_counts(coeff, row, diag, radix, modulus, ncopies):
-    """Histogram of t(x)(coeff x G)x mod modulus over all index tuples.
-
-    row(a) lists the pairings of representative a with every
-    representative, already reduced mod modulus; diag[a] is the pairing of
-    a with itself.  coeff is symmetric ncopies x ncopies.  Returns a dict
-    residue -> count.
-    """
-    counts = Counter()
-    rng = range(radix)
-    if ncopies == 1:
-        w = coeff[0][0] % modulus
-        counts.update(w * x % modulus for x in diag)
-    elif ncopies == 2:
-        w00 = coeff[0][0] % modulus
-        w01 = (2 * coeff[0][1]) % modulus
-        w11 = coeff[1][1] % modulus
-        d1 = [(w11 * diag[b]) % modulus for b in rng]
-        for a in rng:
-            base = w00 * diag[a]
-            counts.update((base + w01 * x + y) % modulus for x, y in zip(row(a), d1))
-    else:
-        gram = [row(a) for a in rng]
-        for combo in itertools.product(rng, repeat=ncopies):
-            tot = 0
-            for i in range(ncopies):
-                gi = gram[combo[i]]
-                tot += coeff[i][i] * gi[combo[i]]
-                for j in range(i + 1, ncopies):
-                    tot += 2 * coeff[i][j] * gi[combo[j]]
-            counts[tot % modulus] += 1
-    return dict(counts)
 
 
 def _counts_to_sum(counts, modulus, flip):
@@ -482,36 +380,6 @@ def _primary_blocks(module, ncopies, budget):
             module.modulus,
         ))
     return blocks
-
-
-def _block_counts(coeff, module):
-    """Histogram key -> count of t(u)(coeff x gram)u mod modulus over the
-    whole box of the module to the power len(coeff), summand by summand.
-
-    This is the path for a key that depends on the fixed representatives,
-    and the oracle the Jordan path is tested against.  The pairings of a
-    representative with all the others are built as they are needed, one
-    row at a time, so two copies take memory linear in the order; three or
-    more copies hold the whole table, which the budget keeps under
-    budget^(2/3) entries.
-    """
-    factors, g, modulus = module.factors, module.gram, module.modulus
-    t = len(factors)
-    reps = list(itertools.product(*(range(p) for p in factors)))
-    cols = list(zip(*reps))
-
-    def row(a):
-        xg = [sum(x * ga[b] for x, ga in zip(reps[a], g)) for b in range(t)]
-        out = [0] * len(reps)
-        for c, col in zip(xg, cols):
-            out = [u + c * y for u, y in zip(out, col)]
-        return [u % modulus for u in out]
-
-    diag = [
-        sum(x[a] * g[a][b] * x[b] for a in range(t) for b in range(t)) % modulus
-        for x in reps
-    ]
-    return _accumulate_counts(coeff, row, diag, len(reps), modulus, len(coeff))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -701,8 +569,9 @@ def _square_classes(p, m):
 
 def _jordan_counts(coeff, block):
     """Histogram of a p-primary block's key from its Jordan form, without
-    enumerating the block; None when the block's exponent is not a
-    certified prime power.
+    enumerating the block.  A block whose exponent is not a certified
+    prime power raises BudgetExceededError: the budget check refuses every
+    such block unless trial division ran past 1.8 * 10^12.
 
     The key mod p^m (p^m the p-part of the modulus) is a quadratic form in
     the N = len(coeff) * len(factors) coordinates, periodic mod p^e in
@@ -717,9 +586,12 @@ def _jordan_counts(coeff, block):
     and expanded over Z/p^m.  The result goes back over the modulus by the
     Chinese remainder theorem, with no zero count stored.
     """
-    p = _prime_base(math.lcm(*block.factors))
+    exponent = math.lcm(*block.factors)
+    p = _prime_base(exponent)
     if p is None:
-        return None
+        raise BudgetExceededError(
+            f"a block of exponent {exponent} is not a certified prime power"
+        )
     modulus, g = block.modulus, block.gram
     m = _valuation(modulus, p, modulus.bit_length())
     big = p**m
@@ -798,41 +670,39 @@ def _gauss_sum(coeff, module, sign, budget):
     """Sum of e^{2 pi i sign key / modulus}, key = t(u)(coeff x gram)u,
     over u in the box of the module to the power n = len(coeff).
 
-    When the key is a function on the group, the group is the orthogonal
-    sum of its p-primary blocks (Wall), so the key of u is the sum of the
-    keys of its block components and the histogram over the whole box is
-    the cyclic convolution of the block histograms.  No block is
-    enumerated: each block's histogram comes from the Jordan form of its
-    key (_jordan_counts), at a cost of about |T_p| per block rather than
-    |T_p|^n: the elimination on an N x N matrix, N = n times the block's
-    rank; p^h values for each rank-1 summand of level h <= e, p^e the
-    block's exponent; one product per summand key and class of Z/p^m under
-    unit squares (2m + 1 classes for odd p, about 4m for p = 2) for each
-    convolution of summands; and p^m for each expansion over Z/p^m, p^m
-    the p-part of the modulus.  Otherwise the value depends on the fixed
-    representatives and the whole box is enumerated as one block, |T|^n
-    summands.
+    The key must be a function on the group; a key that depends on the
+    fixed representatives raises ValueError, before any budget check.  The
+    group is the orthogonal sum of its p-primary blocks (Wall), so the key
+    of u is the sum of the keys of its block components and the histogram
+    over the whole box is the cyclic convolution of the block histograms.
+    No block is enumerated: each block's histogram comes from the Jordan
+    form of its key (_jordan_counts), at a cost of about |T_p| per block
+    rather than |T_p|^n: the elimination on an N x N matrix, N = n times
+    the block's rank; p^h values for each rank-1 summand of level h <= e,
+    p^e the block's exponent; one product per summand key and class of
+    Z/p^m under unit squares (2m + 1 classes for odd p, about 4m for
+    p = 2) for each convolution of summands; and p^m for each expansion
+    over Z/p^m, p^m the p-part of the modulus.
 
     The budget bounds |T_p|^n, the number of summands each block stands
-    for, whether it is counted or enumerated, and every convolution step
-    of the blocks, all checked before any block is counted; the Jordan
-    path's work on a block stays within a small multiple of its |T_p|^n.
+    for, and every convolution step of the blocks, all checked before any
+    block is counted; the work on a block stays within a small multiple of
+    its |T_p|^n.
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if n == 0 or module.order == 1:
         _check_budget(1, 1, budget)
-        return CyclotomicSum({Fraction(0): 1})
-    well_defined = _key_is_well_defined(coeff, module)
-    blocks = _primary_blocks(module, n, budget) if well_defined else [module]
+        return CyclotomicSum._from_counts({0: 1}, 1)
+    if not _key_is_well_defined(coeff, module):
+        raise ValueError("the summands depend on the choice of coset representatives")
+    blocks = _primary_blocks(module, n, budget)
     for block in blocks:
         _check_budget(block.order, n, budget)
     _check_convolution([_key_bound(coeff, b) for b in blocks], module.modulus, budget)
     counts = None
     for block in blocks:
-        part = _jordan_counts(coeff, block) if well_defined else None
-        if part is None:
-            part = _block_counts(coeff, block)
+        part = _jordan_counts(coeff, block)
         counts = part if counts is None else _convolve(counts, part, module.modulus)
     return _counts_to_sum(counts, module.modulus, flip=sign < 0)
 
@@ -898,16 +768,13 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
 
     l is any symmetric m x m integer matrix; k0 is a nonsingular symmetric
     s x s integer matrix defining the quotient.  The module summed over is
-    the linking form of k0, as in partition_function, and the representative
-    set is the fixed one from coset_representatives, used consistently for
-    both sides of each term.  When l or k0 has an even diagonal every term is
-    independent of the representative choice, and the sum splits over the
-    p-primary parts of the quotient, with the budget bounding each part's
-    summands and each step of convolving their histograms.  For an odd l
-    and an odd k0 the sum is still well defined as a function of the fixed
-    representatives, which is the convention the reciprocity identity is
-    stated with; unless no term depends on them, the whole quotient is
-    enumerated as one block.
+    the linking form of k0, as in partition_function.  The sum is defined
+    when every term depends only on its class in the quotient: always
+    when l or k0 has an even diagonal, and for an odd pair only when
+    moving a representative by k0 Z^s changes no term.  Otherwise it
+    raises ValueError.  The sum splits over the p-primary parts of the
+    quotient, with the budget bounding each part's summands and each step
+    of convolving their histograms.
     """
     if not is_symmetric(l):
         raise ValueError("summand matrix must be symmetric")

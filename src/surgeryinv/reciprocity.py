@@ -35,9 +35,11 @@ class ReciprocityReport(namedtuple(
     lhs and rhs are ComplexValues and abs_diff an mpmath number, all at
     `precision` bits; the signatures and determinants are exact ints.
     m, n are the sizes of the linking matrix l and the coupling matrix k;
-    r, s their ranks.  l_even records whether l had an even diagonal (the
-    identity requires evenness only of k, but an odd l means the left-hand
-    sum depends on the fixed representative convention).
+    r, s their ranks.  l_even records whether l had an even diagonal.  The
+    identity requires evenness only of k: the left-hand sum runs over the
+    quotient by k's nonsingular block K0, which is congruent to a block of
+    the even k and so is even itself, so that sum is well defined for an
+    odd l too.
     """
 
     __slots__ = ()

@@ -5,6 +5,8 @@ and reproducible.
 """
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 
 def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -31,7 +33,7 @@ def rand_even_symmetric(rng, n, lo=-6, hi=6):
 def brute_radical_terms(k, form):
     """Radical of B(u,v) = t(u)(K x Q)v mod 1 on the torsion power, and the
     partition phases on it, both by exhaustive enumeration."""
-    from surgeryinv.gauss import phase_mod1, quadratic_phase
+    from surgeryinv.gauss import phase_mod1
 
     n = len(k)
     t = form.rank
@@ -56,6 +58,112 @@ def brute_radical_terms(k, form):
             flat = tuple(x for block in z for x in block)
             phases.append(quadratic_phase(k, form, flat))
     return total, phases
+
+
+def zeros(rows, cols):
+    return tuple((0,) * cols for _ in range(rows))
+
+
+def direct_sum(a, b):
+    ca = len(a[0]) if a else 0
+    cb = len(b[0]) if b else 0
+    return tuple(row + (0,) * cb for row in a) + tuple((0,) * ca + row for row in b)
+
+
+def rank(a):
+    """Rank of an integer matrix: the number of its invariant factors."""
+    from surgeryinv.exactmat import smith_normal_form
+
+    return len(smith_normal_form(a).invariant_factors())
+
+
+def quadratic_phase(k, form, u):
+    """Phase -(1/2) t(u) (k x Q) u mod 1 of one partition-function term, at
+    any representative vector u (one block of form.rank entries per row of
+    k), by direct Fraction arithmetic."""
+    from surgeryinv.gauss import phase_mod1
+
+    n, t = len(k), form.rank
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            if k[i][j]:
+                total += k[i][j] * sum(
+                    u[i * t + a] * form.q[a][b] * u[j * t + b]
+                    for a in range(t) for b in range(t)
+                )
+    return phase_mod1(-total / 2)
+
+
+def block_counts(coeff, module):
+    """Histogram key -> count of t(u)(coeff x gram)u mod modulus over the
+    whole box of a gauss._QuadraticModule to the power len(coeff), summand
+    by summand: the oracle for the engine's Jordan-form counts.  One copy
+    needs only each representative's pairing with itself; more copies take
+    the table of all pairings, |T|^2 entries."""
+    factors, g, modulus = module.factors, module.gram, module.modulus
+    t, n = len(factors), len(coeff)
+    reps = list(itertools.product(*(range(p) for p in factors)))
+
+    def pair(x, y):
+        return sum(x[a] * g[a][b] * y[b] for a in range(t) for b in range(t))
+
+    if n == 1:
+        return dict(Counter(coeff[0][0] * pair(x, x) % modulus for x in reps))
+    gram = [[pair(x, y) for y in reps] for x in reps]
+    weights = [(i, j, coeff[i][j] * (1 if i == j else 2))
+               for i in range(n) for j in range(i, n) if coeff[i][j]]
+    counts = Counter()
+    for combo in itertools.product(range(len(reps)), repeat=n):
+        counts[sum(w * gram[combo[i]][combo[j]] for i, j, w in weights) % modulus] += 1
+    return dict(counts)
+
+
+def representatives_matter(l, k0):
+    """Brute force: does moving one fixed representative x_i by d_a times
+    the a-th Smith generator, a vector of k0 Z^s, change a term of the
+    lattice sum of l over Z^s / k0 Z^s?
+
+    The change in the term t(x)(l x inverse(k0))x / 2 is a sum of one piece
+    per slot j, each a function of x_j alone.  So it vanishes on every
+    tuple of representatives exactly when each piece takes one value over
+    all the representatives and those values cancel; every slot is
+    enumerated on its own, m |T| values per shift rather than |T|^m.
+    """
+    from surgeryinv.exactmat import det_int, rat_inverse
+    from surgeryinv.gauss import coset_representatives
+    from surgeryinv.homology import linking_form_with_generators
+
+    s, m = len(k0), len(l)
+    det = det_int(k0)
+    modulus = 2 * det * det
+    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
+    reps, _ = coset_representatives(k0)
+    form, gens = linking_form_with_generators(k0)
+
+    def pair(x, y):
+        # t(x) inverse(k0) y / 2 as a multiple of 1 / (2 det^2)
+        return det * sum(x[a] * adj[a][b] * y[b] for a in range(s) for b in range(s))
+
+    def moved(x, shift):
+        return tuple(a + b for a, b in zip(x, shift))
+
+    for i in range(m):
+        for g, d in zip(gens, form.factors):
+            shift = tuple(d * x for x in g)
+            total = 0
+            for j in range(m):
+                if j == i:
+                    piece = {l[i][i] * (pair(moved(x, shift), moved(x, shift)) - pair(x, x))
+                             % modulus for x in reps}
+                else:
+                    piece = {2 * l[i][j] * pair(shift, x) % modulus for x in reps}
+                if len(piece) > 1:
+                    return True
+                total += piece.pop()
+            if total % modulus:
+                return True
+    return False
 
 
 def rand_unimodular(rng, n, steps=None):
@@ -154,7 +262,7 @@ def reference_eval_numeric(s, precision):
 
     from surgeryinv.gauss import _root_groups
 
-    mults = s._mults
+    mults = s._counts
     slack = (precision + len(mults).bit_length()
              + sum(abs(m) for m in mults.values()).bit_length() + 8)
     re = im = width = 0

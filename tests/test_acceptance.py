@@ -14,7 +14,6 @@ from surgeryinv.exactmat import (
     det_int,
     diagonal,
     mat_mul,
-    rank,
     smith_normal_form,
     signature,
 )
@@ -34,6 +33,7 @@ from helpers import (
     rand_even_symmetric,
     rand_int_matrix,
     rand_symmetric,
+    rank,
 )
 
 TOL = 1e-9

@@ -409,6 +409,29 @@ def test_kernel_commands_load_no_gauss_sum_code(tmp_path):
     assert got["missing"] == [] and got["one_budget"]
 
 
+PUBLIC_NAMES = [
+    "BlockDecomposition", "BudgetExceededError", "ComplexValue", "CyclotomicSum",
+    "DEFAULT_TERM_BUDGET", "DualTheory", "Group", "HomologySummary", "LinkingForm",
+    "ManifoldPresentation", "ReciprocityReport", "SnfResult", "TorsionGroup",
+    "apply_move", "block_decompose", "borromean", "chat_from_even", "conjugate",
+    "coset_representatives", "coupling_to_even", "cs_dual", "det_int", "eval_numeric",
+    "evenize", "first_homology", "full_homology", "gauss_sum_over_lattice", "hopf",
+    "identity", "int_inverse", "is_even_symmetric", "is_symmetric", "kirby1",
+    "kirby1_inverse", "kirby2", "lens_chain", "lens_presentation", "linking_form",
+    "linking_form_with_generators", "mat", "mat_mul", "partition_function",
+    "phase_mod1", "presentation", "preset", "rat_inverse", "reciprocity_sides",
+    "signature", "smith_normal_form", "transpose", "unknot",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name joins or leaves the package surface only by editing this list
+    import surgeryinv
+
+    assert surgeryinv.__all__ == PUBLIC_NAMES
+    assert all(hasattr(surgeryinv, name) for name in PUBLIC_NAMES)
+
+
 def run_in_process(capsys, argv):
     """Like run_cli, but an argparse exit (usage error, --help) is a result."""
     try:

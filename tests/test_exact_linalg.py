@@ -11,22 +11,18 @@ from surgeryinv.exactmat import (
     block_decompose,
     det_int,
     diagonal,
-    direct_sum,
     identity,
     int_inverse,
     is_symmetric,
-    kron,
     mat,
     mat_mul,
     mat_neg,
-    rank,
     rat_inverse,
     signature,
     smith_normal_form,
     transpose,
-    zeros,
 )
-from helpers import rand_int_matrix, rand_symmetric, rand_unimodular
+from helpers import direct_sum, rand_int_matrix, rand_symmetric, rand_unimodular, rank, zeros
 
 
 def snf_certificate(a, snf):
@@ -227,27 +223,6 @@ def test_signature_properties():
         assert signature(direct_sum(a, b)) == signature(a) + signature(b)
         conj = mat_mul(transpose(g), mat_mul(a, g))
         assert signature(conj) == signature(a)
-
-
-def test_kron_examples():
-    assert kron(((2,),), ((Fraction(-1, 2),),)) == ((Fraction(-1),),)
-    q = ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 2), Fraction(2, 5)))
-    assert kron(identity(2), q) == direct_sum(q, q)
-    k, p, qq = 3, 5, 2
-    got = kron(((0, k), (k, 0)), ((Fraction(-qq, p),),))
-    assert got == ((0, Fraction(-k * qq, p)), (Fraction(-k * qq, p), 0))
-
-
-def test_kron_mixed_product_property():
-    rng = random.Random(109)
-    for _ in range(15):
-        a = rand_int_matrix(rng, 2, 2, -4, 4)
-        b = rand_int_matrix(rng, 2, 2, -4, 4)
-        c = rand_int_matrix(rng, 2, 2, -4, 4)
-        d = rand_int_matrix(rng, 2, 2, -4, 4)
-        lhs = mat_mul(kron(a, b), kron(c, d))
-        rhs = kron(mat_mul(a, c), mat_mul(b, d))
-        assert lhs == rhs
 
 
 def block_certificate(a, dec):

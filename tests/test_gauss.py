@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import time
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -21,11 +20,9 @@ from surgeryinv.gauss import (
     conjugate,
     coset_representatives,
     eval_numeric,
-    exponent_phase,
     gauss_sum_over_lattice,
     partition_function,
     phase_mod1,
-    quadratic_phase,
 )
 from surgeryinv.homology import (
     LinkingForm,
@@ -33,14 +30,17 @@ from surgeryinv.homology import (
     linking_form_with_generators,
     presentation,
 )
-from surgeryinv.surgery import kirby1, kirby2
+from surgeryinv.surgery import coupling_to_even, kirby1, kirby2
 from helpers import (
+    block_counts,
     brute_radical_terms,
+    quadratic_phase,
     rand_even_symmetric,
     rand_symmetric,
     rand_unimodular,
     reference_eval_numeric,
     reference_root_walk,
+    representatives_matter,
 )
 
 
@@ -61,28 +61,24 @@ def test_cyclotomic_sum_merges_and_drops_zeros():
     assert CyclotomicSum({Fraction(1, 3): 5}) == CyclotomicSum(
         [(Fraction(4, 3), 2), (Fraction(1, 3), 3)]
     )
+    # terms that cancel leave no trace of their denominator
+    cancelled = CyclotomicSum([(Fraction(1, 3), 1), (Fraction(1, 3), -1), (Fraction(0), 1)])
+    assert cancelled == CyclotomicSum._from_counts({0: 1}, 1)
+    assert CyclotomicSum._from_counts({0: 1}, 1) == cancelled
 
 
 def test_exponent_phase_zero_vector():
-    assert exponent_phase(K_EXAMPLE, Z2_MINUS_HALF, (0, 0)) == 0
+    # the oracle's term phase, which the engine's histograms are checked with
+    assert quadratic_phase(K_EXAMPLE, Z2_MINUS_HALF, (0, 0)) == 0
 
 
 def test_exponent_phase_worked_value():
     # the -1 summand of the worked L(2,1) partition function
-    assert exponent_phase(K_EXAMPLE, Z2_MINUS_HALF, (1, 0)) == Fraction(1, 2)
+    assert quadratic_phase(K_EXAMPLE, Z2_MINUS_HALF, (1, 0)) == Fraction(1, 2)
     # the opposite orientation convention gives the same phase here
-    assert exponent_phase(K_EXAMPLE, Z2_HALF, (1, 0)) == Fraction(1, 2)
-    assert exponent_phase(K_EXAMPLE, Z2_MINUS_HALF, (0, 1)) == 0
-    assert exponent_phase(K_EXAMPLE, Z2_MINUS_HALF, (1, 1)) == 0
-
-
-def test_exponent_phase_validation():
-    with pytest.raises(ValueError):
-        exponent_phase(K_EXAMPLE, Z2_HALF, (2, 0))  # out of range
-    with pytest.raises(ValueError):
-        exponent_phase(K_EXAMPLE, Z2_HALF, (0,))  # wrong length
-    with pytest.raises(ValueError):
-        exponent_phase(((1, 0), (0, 2)), Z2_HALF, (0, 0))  # odd diagonal
+    assert quadratic_phase(K_EXAMPLE, Z2_HALF, (1, 0)) == Fraction(1, 2)
+    assert quadratic_phase(K_EXAMPLE, Z2_MINUS_HALF, (0, 1)) == 0
+    assert quadratic_phase(K_EXAMPLE, Z2_MINUS_HALF, (1, 1)) == 0
 
 
 def test_representative_shift_leaves_phase_unchanged():
@@ -368,10 +364,9 @@ def test_magnitude_law_small():
             assert abs(abs(z) - math.sqrt(total)) < 1e-9
 
 
-def enumerated_blocks(fn, *args, one_block=False):
+def enumerated_blocks(fn, *args):
     """Run fn, returning its result and the radix of every block the
-    engine checked against the budget.  With one_block the engine is kept
-    from splitting, which makes it enumerate the whole box: the oracle."""
+    engine checked against the budget."""
     radices = []
     check = gauss._check_budget
 
@@ -381,9 +376,18 @@ def enumerated_blocks(fn, *args, one_block=False):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gauss, "_check_budget", spy)
-        if one_block:
-            patch.setattr(gauss, "_primary_blocks", lambda module, n, budget: [module])
         return fn(*args), radices
+
+
+def enumerated_sum(coeff, module, sign):
+    """The oracle: the whole box of the module enumerated as one block."""
+    return gauss._counts_to_sum(block_counts(coeff, module), module.modulus, sign < 0)
+
+
+def enumerated_lattice_sum(l, k0, sign):
+    """The oracle for gauss_sum_over_lattice(l, k0, sign)."""
+    form = gauss._nonsingular_torsion_module(k0)[0]
+    return enumerated_sum(l, gauss._form_module(form), sign)
 
 
 def is_prime_power(x):
@@ -430,42 +434,13 @@ def test_split_partition_function_equals_one_block(case, data):
         tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(n)
     )
     split, radices = enumerated_blocks(partition_function, c, man)
-    whole, whole_radices = enumerated_blocks(partition_function, c, man, one_block=True)
+    whole = enumerated_sum(coupling_to_even(c), gauss._form_module(man.form), -1)
     assert split == whole
     order = math.prod(factors)
-    assert whole_radices == [order]
     assert len(radices) >= 2 and math.prod(radices) == order
     assert all(is_prime_power(r) for r in radices)
     # a sum whose summands fit the budget never fails its convolution check
     assert partition_function(c, man, budget=order**n) == whole
-
-
-def representatives_matter(l, k0):
-    """Brute force: does moving one fixed representative by d_a times the
-    a-th Smith generator, a vector of k0 Z^s, change a term of the sum?"""
-    s, m = len(k0), len(l)
-    det = det_int(k0)
-    adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
-    reps, _ = coset_representatives(k0)
-    form, gens = linking_form_with_generators(k0)
-    shifts = [tuple(d * x for x in g) for g, d in zip(gens, form.factors)]
-
-    def value(xs):
-        # the phase t(x)(l x inverse(k0))x / 2, times 2|det|, mod 2|det|
-        return det * sum(
-            l[i][j] * xs[i][a] * adj[a][b] * xs[j][b]
-            for i in range(m) for j in range(m) for a in range(s) for b in range(s)
-        ) % (2 * det * det)
-
-    for xs in itertools.product(reps, repeat=m):
-        base = value(xs)
-        for i in range(m):
-            for shift in shifts:
-                moved = list(xs)
-                moved[i] = tuple(x + y for x, y in zip(xs[i], shift))
-                if value(moved) != base:
-                    return True
-    return False
 
 
 @st.composite
@@ -500,37 +475,43 @@ def lattice_cases(draw):
 @given(lattice_cases())
 def test_split_lattice_sum_equals_one_block(case):
     l, k0, sign = case
-    split, radices = enumerated_blocks(gauss_sum_over_lattice, l, k0, sign)
-    whole, _ = enumerated_blocks(gauss_sum_over_lattice, l, k0, sign, one_block=True)
-    assert split == whole
-    order = abs(det_int(k0))
-    assert math.prod(radices) == order
-    if is_prime_power(order):
-        assert len(radices) == 1
-        return
     odd = any(l[i][i] % 2 for i in range(len(l))) and any(
         k0[i][i] % 2 for i in range(len(k0)))
-    # an even pair always splits; an odd one exactly when no term depends
-    # on the representatives
-    assert (len(radices) > 1) == (not odd or not representatives_matter(l, k0))
+    # an even pair is always a sum over the group; an odd one exactly when
+    # no term depends on the representatives, and otherwise it is refused
+    if representatives_matter(l, k0):
+        assert odd
+        with pytest.raises(ValueError, match="representatives"):
+            gauss_sum_over_lattice(l, k0, sign)
+        return
+    split, radices = enumerated_blocks(gauss_sum_over_lattice, l, k0, sign)
+    assert split == enumerated_lattice_sum(l, k0, sign)
+    order = abs(det_int(k0))
+    assert math.prod(radices) == order
+    assert all(is_prime_power(r) for r in radices)
+    if is_prime_power(order):
+        assert len(radices) == 1
+    else:
+        assert len(radices) > 1
 
 
 def test_odd_pairs_split_only_when_representatives_cannot_matter():
-    # quotient Z_15 with form 1/15: moving x by 15 moves x^2/30 by 1/2
+    # quotient Z_15 with form 1/15: moving x by 15 moves x^2/30 by 1/2, so
+    # the odd pair is refused, and the even summand splits
     k0 = ((1, 0), (0, 15))
     assert representatives_matter(((1,),), k0)
-    _, radices = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1)
-    assert radices == [15]
+    for budget in (None, 0):  # refused before the budget is looked at
+        with pytest.raises(ValueError, match="representatives"):
+            gauss_sum_over_lattice(((1,),), k0, 1, budget)
     _, radices = enumerated_blocks(gauss_sum_over_lattice, ((2,),), k0, +1)
     assert sorted(radices) == [3, 5]
     # quotient Z_12 with form 1/12: x^2/24 is a function on Z_12, so the
-    # odd pair splits and still equals the one-block sum
+    # odd pair splits and equals the enumerated sum
     k0 = ((1, 0), (0, 12))
     assert not representatives_matter(((1,),), k0)
     split, radices = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1)
     assert sorted(radices) == [3, 4]
-    whole, _ = enumerated_blocks(gauss_sum_over_lattice, ((1,),), k0, +1, one_block=True)
-    assert split == whole
+    assert split == enumerated_lattice_sum(((1,),), k0, +1)
 
 
 def test_budget_bounds_each_block():
@@ -561,10 +542,8 @@ def test_budget_bounds_each_convolution_step():
     # either block is enumerated
     p, q = 1009, 1013
     man = lens_presentation(p * q, 1)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauss, "_block_counts", lambda coeff, block: pytest.fail("enumerated"))
-        with pytest.raises(BudgetExceededError, match="convolving"):
-            enumerated_blocks(partition_function, ((1,),), man, 10**5)
+    with pytest.raises(BudgetExceededError, match="convolving"):
+        enumerated_blocks(partition_function, ((1,),), man, 10**5)
     z, radices = enumerated_blocks(partition_function, ((1,),), man, 2 * 10**6)
     assert sorted(radices) == [p, q] and z.total_multiplicity == p * q
     # 2 * 3 * ... * 31: every block is tiny, but the phases multiply
@@ -676,7 +655,7 @@ def _with_multiplicities(s, mode, rng):
     repeated values, or all distinct; an engine sum keeps its integer keys."""
     if mode == "as built":
         return s
-    keys = list(s._mults)
+    keys = list(s._counts)
     if mode == "negative":
         mults = [rng.randint(-9, -1) for _ in keys]
     elif mode == "repeated":
@@ -684,9 +663,7 @@ def _with_multiplicities(s, mode, rng):
     else:
         mults = rng.sample(range(1, 4 * len(keys) + 1), len(keys))
         mults = [m if rng.random() < 0.5 else -m for m in mults]
-    if s._counts is not None:
-        return CyclotomicSum._from_counts(dict(zip(keys, mults)), s._modulus)
-    return CyclotomicSum(zip(keys, mults))
+    return CyclotomicSum._from_counts(dict(zip(keys, mults)), s._modulus)
 
 
 @st.composite
@@ -839,12 +816,6 @@ def upper_coupling(k):
                        for j in range(n)) for i in range(n))
 
 
-def enumerated_sum(coeff, module, sign):
-    """The oracle: the whole box enumerated as one block, by _block_counts
-    called directly rather than through a patched _primary_blocks."""
-    return gauss._counts_to_sum(gauss._block_counts(coeff, module), module.modulus, sign < 0)
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jordan_cases())
 def test_jordan_blocks_equal_the_enumerated_block(case):
@@ -855,14 +826,16 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     n = len(k)
     # every prime block takes the Jordan path and counts what enumerating it counts
     for block in gauss._primary_blocks(module, n, 10**7):
-        counts = gauss._jordan_counts(k, block)
-        assert counts is not None
-        assert counts == gauss._block_counts(k, block)
+        assert gauss._jordan_counts(k, block) == block_counts(k, block)
     assert partition_function(upper_coupling(k), man) == enumerated_sum(k, module, -1)
-    # the lattice sum over the linking matrix as modulus matrix, l odd or even
-    lattice = gauss._form_module(gauss._nonsingular_torsion_module(link)[0])
-    assert gauss_sum_over_lattice(l, link, sign) == enumerated_sum(l, lattice, sign)
-    assert gauss_sum_over_lattice(k, link, sign) == enumerated_sum(k, lattice, sign)
+    # the lattice sum over the linking matrix as modulus matrix, l odd or
+    # even; an odd l whose terms depend on the representatives is refused
+    if representatives_matter(l, link):
+        with pytest.raises(ValueError, match="representatives"):
+            gauss_sum_over_lattice(l, link, sign)
+    else:
+        assert gauss_sum_over_lattice(l, link, sign) == enumerated_lattice_sum(l, link, sign)
+    assert gauss_sum_over_lattice(k, link, sign) == enumerated_lattice_sum(k, link, sign)
 
 
 @settings(max_examples=200, deadline=None)
@@ -897,30 +870,21 @@ def test_even_sums_never_enumerate_a_block():
         (((2, 1), (1, 4)), ((2, 1), (1, 210))),
         (((1, 0), (0, 3)), ((2, 1), (1, 216))),
     ]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gauss, "_block_counts", lambda coeff, block: pytest.fail("enumerated"))
-        for c, man in partitions:
-            z = partition_function(c, man)
-            assert z.total_multiplicity == man.form.order ** len(c)
-        for l, k0 in lattices:
-            for sign in (1, -1):
-                z = gauss_sum_over_lattice(l, k0, sign)
-                assert z.total_multiplicity == abs(det_int(k0)) ** len(l)
+    for c, man in partitions:
+        z = partition_function(c, man)
+        assert z.total_multiplicity == man.form.order ** len(c)
+    for l, k0 in lattices:
+        for sign in (1, -1):
+            z = gauss_sum_over_lattice(l, k0, sign)
+            assert z.total_multiplicity == abs(det_int(k0)) ** len(l)
 
 
-def test_block_enumeration_memory_is_linear_for_two_copies():
-    # an odd summand over an odd modulus matrix depends on the
-    # representatives, so the box is enumerated; a Gram table would take
-    # |T|^2 entries, one row at a time takes |T|
-    peaks = []
-    for d in (101, 201):
-        tracemalloc.start()
-        z = gauss_sum_over_lattice(((1, 0), (0, 1)), ((1, 0), (0, d)), 1)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        assert z.total_multiplicity == d * d
-    assert peaks[1] < 3 * peaks[0]
-    assert peaks[1] < 200_000
+def test_a_block_of_composite_exponent_is_refused():
+    # only a block whose trial division stopped short can reach the Jordan
+    # path with a composite exponent; it is refused, not enumerated
+    block = gauss._QuadraticModule((15,), ((1,),), 30)
+    with pytest.raises(BudgetExceededError, match="prime power"):
+        gauss._jordan_counts(((2,),), block)
 
 
 def test_certified_primes():

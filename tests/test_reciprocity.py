@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from surgeryinv.exactmat import block_decompose, mat_mul, mat_neg, transpose, zeros
+from surgeryinv.exactmat import block_decompose, mat_mul, mat_neg, transpose
 from surgeryinv.gauss import (
     conjugate,
     eval_numeric,
@@ -12,7 +12,7 @@ from surgeryinv.gauss import (
 from surgeryinv.homology import first_homology, presentation
 from surgeryinv.reciprocity import chat_from_even, cs_dual, reciprocity_sides
 from surgeryinv.surgery import coupling_to_even, kirby1, kirby2
-from helpers import rand_even_symmetric, rand_symmetric
+from helpers import rand_even_symmetric, rand_symmetric, zeros
 
 
 def test_chat_from_even():
