@@ -6,6 +6,11 @@ lines are ignored.  Output documents are deterministic: the same inputs
 and flags produce byte-identical text, with exact rationals rendered as
 "num/den" strings and numeric values as fixed-precision decimal strings.
 
+A manifold argument (positional, --preset or --manifold) is a matrix file
+if that path exists and a preset otherwise.  A lens:p,q preset always means
+the pinned presentation of L(p, q): linking form -q/p, no generators printed.
+A wrong preset name or parameter count is a parse error.
+
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 term
 budget exceeded.
 
@@ -94,52 +99,39 @@ def load_matrix(path):
 
 
 def parse_preset(spec):
-    """Parse 'unknot:f', 'hopf:f1,f2', 'borromean' or 'lens:p,q'."""
+    """Parse 'unknot:f', 'hopf:f1,f2', 'borromean' or 'lens:p,q' to (name, params)."""
     name, _, raw = spec.partition(":")
     try:
         params = tuple(int(x) for x in raw.split(",")) if raw else ()
     except ValueError:
         raise MatrixParseError(f"bad preset parameters in {spec!r}") from None
-    if name == "lens":
-        if len(params) != 2:
-            raise MatrixParseError("lens preset takes two parameters: lens:p,q")
-        return ("lens", params)
-    if name in ("unknot", "hopf", "borromean"):
-        return ("link", (name, params))
-    raise MatrixParseError(f"unknown preset {spec!r}")
+    if name not in ("lens", "unknot", "hopf", "borromean"):
+        raise MatrixParseError(f"unknown preset {spec!r}")
+    if name == "lens" and len(params) != 2:
+        raise MatrixParseError("lens preset takes two parameters: lens:p,q")
+    return name, params
 
 
 def load_manifold(spec):
-    """A manifold argument is either a matrix file path or a preset string."""
+    """The one resolver of a manifold argument (see the module docstring):
+    (linking matrix, pinned lens presentation or None)."""
     if os.path.exists(spec):
-        return presentation(load_matrix(spec))
-    kind, data = parse_preset(spec)
-    if kind == "lens":
-        return lens_presentation(*data)
-    return presentation(preset(*data))
+        return load_matrix(spec), None
+    name, params = parse_preset(spec)
+    if name == "lens":
+        lens = lens_presentation(*params)
+        return lens.matrix, lens
+    try:
+        return preset(name, params), None
+    except ValueError as exc:  # the wrong number of parameters
+        raise MatrixParseError(str(exc)) from None
 
 
-def load_homology(spec):
-    """(linking matrix, homology) of a manifold argument, from its
-    invariant factors alone; a lens preset reads its pinned presentation."""
-    if os.path.exists(spec):
-        matrix = load_matrix(spec)
-    else:
-        kind, data = parse_preset(spec)
-        if kind == "lens":
-            man = lens_presentation(*data)
-            return man.matrix, man.homology
-        matrix = preset(*data)
-    return matrix, full_homology(matrix)
-
-
-def load_linking_matrix(spec):
-    if os.path.exists(spec):
-        return load_matrix(spec)
-    kind, data = parse_preset(spec)
-    if kind == "lens":
-        return lens_presentation(*data).matrix
-    return preset(*data)
+def _matrix_or_preset(args):
+    """The manifold argument of homology and linking-form."""
+    if bool(args.matrix) == bool(args.preset):
+        raise MatrixParseError("give exactly one of a matrix file or --preset")
+    return load_manifold(args.preset or args.matrix)
 
 
 def _decimal_places(precision):
@@ -257,7 +249,8 @@ def cmd_snf(args):
 
 
 def cmd_homology(args):
-    matrix, h = load_homology(args.preset if args.preset else args.matrix)
+    matrix, lens = _matrix_or_preset(args)
+    h = lens.homology if lens else full_homology(matrix)
     doc = {
         "command": "homology",
         "input": [list(r) for r in matrix],
@@ -274,14 +267,8 @@ def cmd_homology(args):
 
 
 def cmd_linking_form(args):
-    spec = args.preset if args.preset else args.matrix
-    if args.preset and args.preset.startswith("lens"):
-        man = load_manifold(spec)
-        form, gens = man.form, None
-        matrix = man.matrix
-    else:
-        matrix = load_linking_matrix(spec)
-        form, gens = linking_form_with_generators(matrix)
+    matrix, lens = _matrix_or_preset(args)
+    form, gens = (lens.form, None) if lens else linking_form_with_generators(matrix)
     q_entries = [[f"{x.numerator}/{x.denominator}" for x in row]
                  for row in form.q_mod1()]
     doc = {
@@ -311,7 +298,8 @@ def cmd_partition(args):
     from .gauss import eval_numeric, partition_function
 
     c = load_matrix(args.coupling)
-    man = load_manifold(args.manifold)
+    matrix, lens = load_manifold(args.manifold)
+    man = lens or presentation(matrix)
     z = partition_function(c, man, budget=_budget(args))
     value = eval_numeric(z, args.precision)
     n = len(c)
@@ -546,11 +534,6 @@ def main(argv=None):
 def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("homology", "linking-form"):
-        if bool(args.matrix) == bool(args.preset):
-            print("error: give exactly one of a matrix file or --preset",
-                  file=sys.stderr)
-            return EXIT_PARSE
     try:
         return args.fn(args)
     except (MatrixParseError, UsageError) as exc:

@@ -143,12 +143,6 @@ class ComplexValue(namedtuple("ComplexValue", "re im precision")):
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def abs(self):
-        from mpmath import mp
-
-        with mp.workprec(self.precision):
-            return +mp.hypot(self.re, self.im)
-
 
 _ROOT_BITS = 128  # largest lcm of denominators read from one root of unity
 

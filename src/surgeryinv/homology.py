@@ -110,7 +110,7 @@ def _torsion_module(l):
     nonsingular, its own block; a second, on the block, when it is not.
     Each carries the column transform v only."""
     if not is_symmetric(l):
-        raise ValueError("block decomposition needs a symmetric matrix")
+        raise ValueError("linking matrix must be symmetric")
     d, _, v = _smith(l, False, True)
     r = _rank(d)
     a = _split_off_kernel(l, r, v).a0
@@ -184,8 +184,6 @@ class ManifoldPresentation(namedtuple("ManifoldPresentation", "matrix homology f
 
 def presentation(l):
     """Bundle a linking matrix with its computed invariants."""
-    if not is_symmetric(l):
-        raise ValueError("linking matrix must be symmetric")
     rank, form, _ = _torsion_module(l)
     return ManifoldPresentation(
         l, _summary(len(l) - rank, TorsionGroup(form.factors)), form)

@@ -117,6 +117,45 @@ def test_linking_form_command(tmp_path, capsys):
     assert json.loads(out)["q_mod1"] == [["3/5"]]  # -2/5 mod 1
 
 
+def test_a_lens_preset_is_the_pinned_presentation_in_every_slot(capsys):
+    # -2/5 mod 1, not the chain's generator-derived 2/5
+    code, out, _ = run_cli(capsys, ["linking-form", "lens:5,2", "--json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["q_mod1"] == [["3/5"]] and doc["generators"] is None
+    assert run_cli(capsys, ["linking-form", "--preset", "lens:5,2", "--json"]) == (
+        code, out, "")
+
+
+def test_a_matrix_file_is_read_whatever_its_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "lensfile.txt", ((3, 1), (1, 2)))
+    write(tmp_path, "other.txt", ((3, 1), (1, 2)))
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, ["linking-form", "--preset", "other.txt", *flags])
+        assert code == EXIT_OK and "-1" in out
+        assert run_cli(capsys, ["linking-form", "--preset", "lensfile.txt", *flags]) == (
+            code, out, err)
+
+
+@pytest.mark.parametrize("spec, arity", [("hopf:1", 2), ("unknot", 1), ("borromean:1", 0)])
+def test_a_wrong_preset_parameter_count_is_a_parse_error(tmp_path, capsys, spec, arity):
+    message = f"error: preset {spec.partition(':')[0]!r} takes {arity} parameter(s)\n"
+    c = write(tmp_path, "c.txt", ((2,),))
+    for argv in (["homology", "--preset", spec], ["linking-form", "--preset", spec],
+                 ["partition", "--coupling", c, "--manifold", spec]):
+        assert run_cli(capsys, argv) == (EXIT_PARSE, "", message), argv
+
+
+def test_every_command_refuses_an_asymmetric_linking_matrix_alike(tmp_path, capsys):
+    m = write(tmp_path, "m.txt", ((1, 2), (0, 3)))
+    c = write(tmp_path, "c.txt", ((2,),))
+    message = "error: linking matrix must be symmetric\n"
+    for argv in (["homology", m], ["linking-form", m], ["linking-form", "--preset", m],
+                 ["partition", "--coupling", c, "--manifold", m]):
+        assert run_cli(capsys, argv) == (EXIT_PRECONDITION, "", message), argv
+
+
 def test_snf_command(tmp_path, capsys):
     m = write(tmp_path, "m.txt", ((3, 1), (1, 2)))
     code, out, _ = run_cli(capsys, ["snf", m, "--json"])
@@ -480,6 +519,8 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
     monkeypatch.setenv("COLUMNS", "80")
     c = write(tmp_path, "c.txt", ((0, 1), (0, 0)))
     m = write(tmp_path, "m.txt", ((2, 1, 0), (1, -3, 1), (0, 1, 4)))
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "lensfile.txt", ((3, 1), (1, 2)))
     partition = ["partition", "--coupling", c, "--manifold", "lens:11,1"]
     steps = [
         partition + ["--budget", "1000"],
@@ -494,6 +535,12 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
         ["linking-form", "--help"],
         # the variable holds evenize's output to 5 entries too
         ["evenize", m],
+        ["linking-form", "lens:5,2", "--json"],
+        ["linking-form", "--preset", "lens:5,2", "--json"],
+        ["linking-form", "--preset", "lensfile.txt"],
+        ["homology", "--preset", "hopf:1"],
+        ["linking-form", "--preset", "unknot"],
+        ["partition", "--coupling", c, "--manifold", "borromean:1"],
     ]
     codes = []
     for argv in steps:
@@ -504,7 +551,8 @@ def test_repeated_commands_print_what_a_fresh_process_prints(tmp_path, capsys, m
         assert got == run_fresh(argv), argv
         codes.append(got[0])
     assert codes == [EXIT_OK, EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, 2, EXIT_OK,
-                     EXIT_BUDGET, 0, EXIT_BUDGET]
+                     EXIT_BUDGET, 0, EXIT_BUDGET, EXIT_OK, EXIT_OK, EXIT_OK,
+                     EXIT_PARSE, EXIT_PARSE, EXIT_PARSE]
 
 
 def test_commands_reach_helpers_through_module_globals(tmp_path, capsys, monkeypatch):

@@ -154,6 +154,15 @@ def test_lens_chain():
         lens_chain(0, 1)
 
 
+def test_every_linking_form_path_refuses_an_asymmetric_matrix_alike():
+    a = ((1, 2), (0, 3))
+    for fn in (first_homology, linking_form, presentation, gauss.coset_representatives):
+        with pytest.raises(ValueError, match="^linking matrix must be symmetric$"):
+            fn(a)
+    with pytest.raises(ValueError, match="^modulus matrix must be symmetric$"):
+        gauss_sum_over_lattice(((2,),), a, 1)
+
+
 def test_lens_chain_equals_the_entrywise_construction():
     rng = random.Random(1999)
     cases = [(1, 1), (2, 1)]
