@@ -131,7 +131,8 @@ class CyclotomicSum:
 
 def conjugate(s):
     """Complex conjugation: every phase r becomes -r mod 1."""
-    return _counts_to_sum(s._counts, s._modulus, flip=True)
+    m = s._modulus
+    return CyclotomicSum._from_counts({(m - k) % m: v for k, v in s._counts.items()}, m)
 
 
 class ComplexValue(namedtuple("ComplexValue", "re im precision")):
@@ -274,16 +275,7 @@ def _root_walk(den, residues, width):
     return re, im
 
 
-def _counts_to_sum(counts, modulus, flip):
-    """The sum of e^{2 pi i key/modulus} (key negated when flip) with the
-    given counts; keys are distinct residues in [0, modulus), counts nonzero."""
-    if flip:
-        counts = {(modulus - k) % modulus: v for k, v in counts.items()}
-    return CyclotomicSum._from_counts(counts, modulus)
-
-
 def _check_budget(radix, ncopies, budget):
-    budget = DEFAULT_TERM_BUDGET if budget is None else budget
     terms = radix**ncopies
     if terms > budget:
         raise BudgetExceededError(
@@ -329,13 +321,15 @@ def _key_is_well_defined(coeff, module):
 
 
 def _coprime_parts(x, ncopies, budget):
-    """Pairwise coprime factors of x: its prime powers, by trial division.
+    """Pairwise coprime factors of x by trial division, as pairs (p, q):
+    q = p^k is the exact power of the prime p dividing x.
 
-    Division stops once what is left is a prime that _certified_prime
-    certifies, or once p**ncopies exceeds the budget: what is left then has
-    only prime factors >= p, so any block built from it fails the budget
-    check, and it is returned as one part.  A prime left over after the
-    small factors, below 3.3 * 10^24, is thus returned at once.
+    Division stops once what is left is a prime, one that _certified_prime
+    certifies or one below p * p, and that prime x is the last pair (x, x).
+    A prime left over after the small factors, below 3.3 * 10^24, is thus
+    returned at once.  Division also stops once p**ncopies exceeds the
+    budget: what is left then has only prime factors >= p, so any block
+    built from it fails the budget check, and it is the last pair (None, x).
     """
     parts = []
     p = 2
@@ -346,33 +340,35 @@ def _coprime_parts(x, ncopies, budget):
             while x % p == 0:
                 x //= p
                 q *= p
-            parts.append(q)
+            parts.append((p, q))
             done = _certified_prime(x)
         p += 1 if p == 2 else 2
     if x > 1:
-        parts.append(x)
+        parts.append((x if done or p * p > x else None, x))
     return parts
 
 
 def _primary_blocks(module, ncopies, budget):
-    """Orthogonal blocks of the module, one per coprime part of its exponent.
+    """Orthogonal blocks of the module as pairs (p, block), one per pair
+    (p, q) of _coprime_parts of its exponent: q is the block's exponent and
+    p its prime, None for a leftover that the budget check refuses.
 
-    A generator g of order f = d * e, with d the part's share of f, gives
-    the block generator e * g of order d; its Gram entries scale by e.
+    A generator g of order f = d * e, with d = gcd(f, q), gives the block
+    generator e * g of order d; its Gram entries scale by e.
     """
     parts = _coprime_parts(math.lcm(*module.factors), ncopies, budget)
     if len(parts) == 1:
-        return [module]
+        return [(parts[0][0], module)]
     blocks = []
-    for part in parts:
-        gens = [(a, f // math.gcd(f, part)) for a, f in enumerate(module.factors)
-                if math.gcd(f, part) > 1]
-        blocks.append(_QuadraticModule(
+    for p, q in parts:
+        gens = [(a, f // math.gcd(f, q)) for a, f in enumerate(module.factors)
+                if math.gcd(f, q) > 1]
+        blocks.append((p, _QuadraticModule(
             tuple(module.factors[a] // e for a, e in gens),
             tuple(tuple(ea * eb * module.gram[a][b] % module.modulus
                         for b, eb in gens) for a, ea in gens),
             module.modulus,
-        ))
+        )))
     return blocks
 
 
@@ -408,26 +404,6 @@ def _certified_prime(x):
         else:
             return False
     return True
-
-
-def _iroot(x, k):
-    """Floor of the k-th root of x >= 1, by Newton's method from above."""
-    r = 1 << -(-x.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _prime_base(x):
-    """The prime p with x = p^k, k >= 1, or None when x is not a power of
-    a prime that _certified_prime certifies."""
-    for k in range(x.bit_length() - 1, 0, -1):
-        r = _iroot(x, k)
-        if r**k == x:
-            return r if _certified_prime(r) else None
-    return None
 
 
 def _valuation(x, p, cap):
@@ -561,11 +537,10 @@ def _square_classes(p, m):
     return label, reps
 
 
-def _jordan_counts(coeff, block):
-    """Histogram of a p-primary block's key from its Jordan form, without
-    enumerating the block.  A block whose exponent is not a certified
-    prime power raises BudgetExceededError: the budget check refuses every
-    such block unless trial division ran past 1.8 * 10^12.
+def _jordan_counts(coeff, block, p):
+    """Histogram of the key of a p-primary block, p the prime that
+    _primary_blocks paired it with, from its Jordan form, without
+    enumerating the block.
 
     The key mod p^m (p^m the p-part of the modulus) is a quadratic form in
     the N = len(coeff) * len(factors) coordinates, periodic mod p^e in
@@ -580,12 +555,6 @@ def _jordan_counts(coeff, block):
     and expanded over Z/p^m.  The result goes back over the modulus by the
     Chinese remainder theorem, with no zero count stored.
     """
-    exponent = math.lcm(*block.factors)
-    p = _prime_base(exponent)
-    if p is None:
-        raise BudgetExceededError(
-            f"a block of exponent {exponent} is not a certified prime power"
-        )
     modulus, g = block.modulus, block.gram
     m = _valuation(modulus, p, modulus.bit_length())
     big = p**m
@@ -691,14 +660,15 @@ def _gauss_sum(coeff, module, sign, budget):
     if not _key_is_well_defined(coeff, module):
         raise ValueError("the summands depend on the choice of coset representatives")
     blocks = _primary_blocks(module, n, budget)
-    for block in blocks:
+    for _, block in blocks:
         _check_budget(block.order, n, budget)
-    _check_convolution([_key_bound(coeff, b) for b in blocks], module.modulus, budget)
+    _check_convolution([_key_bound(coeff, b) for _, b in blocks], module.modulus, budget)
     counts = None
-    for block in blocks:
-        part = _jordan_counts(coeff, block)
+    for p, block in blocks:
+        part = _jordan_counts(coeff, block, p)
         counts = part if counts is None else _convolve(counts, part, module.modulus)
-    return _counts_to_sum(counts, module.modulus, flip=sign < 0)
+    s = CyclotomicSum._from_counts(counts, module.modulus)
+    return conjugate(s) if sign < 0 else s
 
 
 def partition_function(c, manifold, budget=None):

@@ -381,9 +381,16 @@ def enumerated_blocks(fn, *args):
         return fn(*args), radices
 
 
+def engine_sum(counts, modulus, flip):
+    """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], as the
+    engine builds it, conjugated when flip."""
+    s = CyclotomicSum._from_counts(counts, modulus)
+    return conjugate(s) if flip else s
+
+
 def enumerated_sum(coeff, module, sign):
     """The oracle: the whole box of the module enumerated as one block."""
-    return gauss._counts_to_sum(block_counts(coeff, module), module.modulus, sign < 0)
+    return engine_sum(block_counts(coeff, module), module.modulus, sign < 0)
 
 
 def enumerated_lattice_sum(l, k0, sign):
@@ -531,11 +538,39 @@ def test_trial_division_stops_at_the_budget():
     # primes beyond the budget are never divided out: what is left is one
     # part, and its block fails the budget check
     p, q = 1_000_003, 1_000_033
-    assert gauss._coprime_parts(12 * p * q, 1, 10**7) == [4, 3, p, q]
-    assert gauss._coprime_parts(12 * p * q, 1, 100) == [4, 3, p * q]
-    assert gauss._coprime_parts(12 * p * q, 2, 100) == [4, 3, p * q]
+    assert gauss._coprime_parts(12 * p * q, 1, 10**7) == [(2, 4), (3, 3), (p, p), (q, q)]
+    assert gauss._coprime_parts(12 * p * q, 1, 100) == [(2, 4), (3, 3), (None, p * q)]
+    assert gauss._coprime_parts(12 * p * q, 2, 100) == [(2, 4), (3, 3), (None, p * q)]
     with pytest.raises(BudgetExceededError):
         partition_function(((1,),), lens_presentation(6 * p, 1), budget=10**5)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_PRIMES = (1_000_003, 1_000_033, 10**14 + 31)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       st.lists(st.sampled_from(LARGE_PRIMES), max_size=2, unique=True),
+       st.integers(1, 3), st.sampled_from([100, 10**4, 10**7]))
+def test_trial_division_labels_each_part_with_its_prime(exps, large, n, budget):
+    powers = {p: e for p, e in zip(SMALL_PRIMES, exps) if e}
+    powers.update((p, 1) for p in large)
+    x = math.prod(p**e for p, e in powers.items())
+    assume(x > 1)
+    parts = gauss._coprime_parts(x, n, budget)
+    assert math.prod(q for _, q in parts) == x
+    assert None not in [p for p, _ in parts[:-1]]
+    for p, q in parts:
+        if p is not None:
+            assert p in powers and q == p ** powers[p]
+    p, rest = parts[-1]
+    if p is None:
+        # a leftover the budget stopped: every block built from it is refused
+        assert all(r**n > budget for r in powers if rest % r == 0)
+        with pytest.raises(BudgetExceededError, match="summands"):
+            partition_function(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                               lens_presentation(x, 1), budget=budget)
 
 
 def test_budget_bounds_each_convolution_step():
@@ -735,7 +770,7 @@ def test_items_order_and_private_constructor(seed, flip):
     modulus = rng.randint(1, 10**6)
     counts = {rng.randrange(modulus): rng.choice([-4, -1, 1, 7])
               for _ in range(rng.randint(0, 30))}
-    built = gauss._counts_to_sum(counts, modulus, flip)
+    built = engine_sum(counts, modulus, flip)
     sign = -1 if flip else 1
     public = CyclotomicSum((Fraction(sign * k, modulus), v) for k, v in counts.items())
     assert built == public
@@ -827,8 +862,8 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     module = gauss._form_module(man.form)
     n = len(k)
     # every prime block takes the Jordan path and counts what enumerating it counts
-    for block in gauss._primary_blocks(module, n, 10**7):
-        assert gauss._jordan_counts(k, block) == block_counts(k, block)
+    for p, block in gauss._primary_blocks(module, n, 10**7):
+        assert gauss._jordan_counts(k, block, p) == block_counts(k, block)
     assert partition_function(upper_coupling(k), man) == enumerated_sum(k, module, -1)
     # the lattice sum over the linking matrix as modulus matrix, l odd or
     # even; an odd l whose terms depend on the representatives is refused
@@ -881,14 +916,6 @@ def test_even_sums_never_enumerate_a_block():
             assert z.total_multiplicity == abs(det_int(k0)) ** len(l)
 
 
-def test_a_block_of_composite_exponent_is_refused():
-    # only a block whose trial division stopped short can reach the Jordan
-    # path with a composite exponent; it is refused, not enumerated
-    block = gauss._QuadraticModule((15,), ((1,),), 30)
-    with pytest.raises(BudgetExceededError, match="prime power"):
-        gauss._jordan_counts(((2,),), block)
-
-
 def test_certified_primes():
     sieve = bytearray([1]) * 20000
     sieve[0] = sieve[1] = 0
@@ -904,15 +931,12 @@ def test_certified_primes():
         assert gauss._certified_prime(p)
     # beyond the bound nothing is certified
     assert not gauss._certified_prime(10**40 + 121)
-    assert gauss._prime_base(3**13) == 3 and gauss._prime_base(2**20) == 2
-    assert gauss._prime_base(12) is None and gauss._prime_base(1) is None
-    assert gauss._prime_base((10**6 + 3)**2) == 10**6 + 3
 
 
 def test_a_prime_cofactor_ends_trial_division():
     for p in (10**14 + 31, 10**20 + 39, 10**24 + 7):
-        assert gauss._coprime_parts(p, 1, 10**7) == [p]
-        assert gauss._coprime_parts(12 * p, 2, 10**7) == [4, 3, p]
+        assert gauss._coprime_parts(p, 1, 10**7) == [(p, p)]
+        assert gauss._coprime_parts(12 * p, 2, 10**7) == [(2, 4), (3, 3), (p, p)]
     # trial division up to the budget would take 5 * 10^7 divisions here
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
@@ -930,7 +954,7 @@ def test_engine_sums_read_out_like_their_phases(seed, flip):
     step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
     counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
               for _ in range(rng.randint(1, 50))}
-    built = gauss._counts_to_sum(counts, modulus, flip)
+    built = engine_sum(counts, modulus, flip)
     public = CyclotomicSum(built.items())
     for precision in (53, 256):
         a, b = eval_numeric(built, precision), eval_numeric(public, precision)
@@ -938,7 +962,7 @@ def test_engine_sums_read_out_like_their_phases(seed, flip):
     assert built == public and public == built
     assert (len(built), built.total_multiplicity) == (len(public), public.total_multiplicity)
     # the same phases over a multiple of the modulus
-    scaled = gauss._counts_to_sum({3 * k: v for k, v in counts.items()}, 3 * modulus, flip)
+    scaled = engine_sum({3 * k: v for k, v in counts.items()}, 3 * modulus, flip)
     assert scaled == built and built == scaled
 
 
@@ -953,7 +977,7 @@ def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, fl
     step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
     counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
               for _ in range(rng.randint(0, 50))}
-    built = gauss._counts_to_sum(counts, modulus, flip)
+    built = engine_sum(counts, modulus, flip)
     public = CyclotomicSum(built.items())
     for s in (built, public):
         assert _phases_doc(s) == [[f"{p.numerator}/{p.denominator}", m]

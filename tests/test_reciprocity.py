@@ -116,6 +116,11 @@ def test_both_sides_invariant_under_global_negation():
                 continue
             raise
         done += 1
+        # the lattice sums of both sides, exactly
+        for (a, b), sign in (((l, k), 1), ((k, l), -1)):
+            s1 = gauss_sum_over_lattice(a, block_decompose(b).a0, sign)
+            s2 = gauss_sum_over_lattice(mat_neg(a), block_decompose(mat_neg(b)).a0, sign)
+            assert s1 == s2
         assert abs(complex(r1.lhs) - complex(r2.lhs)) < 1e-9
         assert abs(complex(r1.rhs) - complex(r2.rhs)) < 1e-9
 
@@ -212,9 +217,10 @@ def test_dual_of_dual_is_global_negation():
         dual2 = cs_dual(dual.linking, coupling_to_even(dual.coupling))
         assert dual2.linking == mat_neg(l)
         assert coupling_to_even(dual2.coupling) == mat_neg(k)
-        z = complex(eval_numeric(partition_function(chat_from_even(k), man)))
-        z2 = complex(eval_numeric(partition_function(
-            dual2.coupling, presentation(dual2.linking))))
+        s = partition_function(chat_from_even(k), man)
+        s2 = partition_function(dual2.coupling, presentation(dual2.linking))
+        assert s == s2
+        z, z2 = complex(eval_numeric(s)), complex(eval_numeric(s2))
         assert abs(z - z2) < 1e-9
 
 
