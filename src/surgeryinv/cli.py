@@ -234,11 +234,11 @@ def cmd_snf(args):
     factors = snf.invariant_factors()
     doc = {
         "command": "snf",
-        "input": [list(r) for r in m],
-        "u": [list(r) for r in snf.u],
-        "d": [list(r) for r in snf.d],
-        "v": [list(r) for r in snf.v],
-        "invariant_factors": list(factors),
+        "input": m,
+        "u": snf.u,
+        "d": snf.d,
+        "v": snf.v,
+        "invariant_factors": factors,
     }
     _emit(doc, lambda: [
         "# u", format_matrix(snf.u).rstrip(), "# d", format_matrix(snf.d).rstrip(),
@@ -253,9 +253,9 @@ def cmd_homology(args):
     h = lens.homology if lens else full_homology(matrix)
     doc = {
         "command": "homology",
-        "input": [list(r) for r in matrix],
+        "input": matrix,
         "b1": h.b1,
-        "torsion": list(h.torsion.factors),
+        "torsion": h.torsion.factors,
         "h": [str(h.h0), str(h.h1), str(h.h2), str(h.h3)],
     }
     _emit(doc, lambda: [
@@ -273,11 +273,11 @@ def cmd_linking_form(args):
                  for row in form.q_mod1()]
     doc = {
         "command": "linking-form",
-        "input": [list(r) for r in matrix],
+        "input": matrix,
         "t": form.rank,
-        "factors": list(form.factors),
+        "factors": form.factors,
         "q_mod1": q_entries,
-        "generators": [list(g) for g in gens] if gens is not None else None,
+        "generators": gens,
     }
 
     def text_lines():
@@ -305,13 +305,13 @@ def cmd_partition(args):
     n = len(c)
     doc = {
         "command": "partition",
-        "coupling": [list(r) for r in c],
-        "manifold": [list(r) for r in man.matrix],
+        "coupling": c,
+        "manifold": man.matrix,
         "phases": _phases_doc(z),
         "value": _value_doc(value),
         "metadata": {
             "b1": man.b1,
-            "invariant_factors": list(man.torsion.factors),
+            "invariant_factors": man.torsion.factors,
             "term_count": man.form.order**n if n else 1,
             "precision": args.precision,
             "normalization_caveat": man.b1 > 0,
@@ -341,8 +341,8 @@ def cmd_reciprocity(args):
                                budget=_budget(args))
     doc = {
         "command": "reciprocity",
-        "l": [list(r) for r in l],
-        "k": [list(r) for r in k],
+        "l": l,
+        "k": k,
         "lhs": _value_doc(report.lhs),
         "rhs": _value_doc(report.rhs),
         "abs_diff": _num_str(report.abs_diff, report.precision),
@@ -404,7 +404,7 @@ def cmd_kirby(args):
     m = load_matrix(args.matrix)
     move = _parse_move(args.move, args.args)
     out = apply_move(m, move)
-    _emit({"command": "kirby", "matrix": [list(r) for r in out]},
+    _emit({"command": "kirby", "matrix": out},
           lambda: [format_matrix(out)[:-1]], args)
     return EXIT_OK
 
@@ -413,7 +413,7 @@ def cmd_evenize(args):
     m = load_matrix(args.matrix)
     out, transcript = evenize(m, budget=_budget(args))
     moves = [_move_text(mv) for mv in transcript]
-    doc = {"command": "evenize", "matrix": [list(r) for r in out], "transcript": moves}
+    doc = {"command": "evenize", "matrix": out, "transcript": moves}
     _emit(doc, lambda: [format_matrix(out)[:-1], *(f"# move: {mv}" for mv in moves)],
           args)
     return EXIT_OK
@@ -427,8 +427,8 @@ def cmd_dual(args):
     dual = cs_dual(l, k)
     doc = {
         "command": "dual",
-        "dual_linking": [list(r) for r in dual.linking],
-        "dual_coupling": [list(r) for r in dual.coupling],
+        "dual_linking": dual.linking,
+        "dual_coupling": dual.coupling,
     }
     _emit(doc, lambda: [
         "# dual linking matrix", format_matrix(dual.linking)[:-1],

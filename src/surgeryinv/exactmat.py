@@ -282,51 +282,42 @@ def _rank(d):
 def signature(a):
     """Signature of a symmetric matrix: #positive minus #negative eigenvalues.
 
-    Computed exactly by Lagrange congruence reduction over the rationals.
-    A nonzero diagonal pivot contributes its sign and its row/column are
-    eliminated by a rational symmetric row+column operation.  If the whole
-    remaining diagonal vanishes but an off-diagonal entry b survives, that
-    entry spans a hyperbolic 2x2 block [[0,b],[b,0]] with eigenvalues +-b:
-    it contributes 0 and is removed through its exact Schur complement.
-    No floating point is involved anywhere.
+    Computed by fraction-free symmetric (Bareiss) elimination with one
+    pivot rule: a nonzero diagonal entry d, swapped to the front.  The
+    trailing block becomes (d * m[i][j] - m[i][0] * m[0][j]) // prev and
+    prev becomes d.  The working matrix is the rational Schur complement
+    times prev, so each pivot adds the sign of d / prev.  If the remaining
+    diagonal vanishes, take the least nonzero entry b = m[i][j] in absolute
+    value (as _smith picks its pivots) and add row j to row i and column j
+    to column i: a unimodular congruence that puts 2b on the diagonal.
+    Every division is exact: each entry is a bordered minor of a matrix
+    congruent to a (Sylvester's identity), and the congruence step is
+    linear in the row and column it changes.
     """
     if not is_symmetric(a):
         raise ValueError("signature of a non-symmetric matrix")
-    m = [[Fraction(x) for x in row] for row in a]
-    sig = 0
+    m = [list(row) for row in a]
+    sig, prev = 0, 1
     while m:
         n = len(m)
-        pivot = next((i for i in range(n) if m[i][i] != 0), None)
-        if pivot is not None:
-            if pivot != 0:
-                m[0], m[pivot] = m[pivot], m[0]
-                for row in m:
-                    row[0], row[pivot] = row[pivot], row[0]
-            d = m[0][0]
-            sig += 1 if d > 0 else -1
-            m = [
-                [m[i][j] - m[i][0] * m[0][j] / d for j in range(1, n)]
-                for i in range(1, n)
-            ]
-            continue
-        off = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != 0),
-            None,
-        )
-        if off is None:
-            break  # zero matrix left; contributes nothing
-        i0, j0 = off
-        order = [i0, j0] + [k for k in range(n) if k not in (i0, j0)]
-        m = [[m[i][j] for j in order] for i in order]
-        b = m[0][1]
-        # Schur complement against the invertible block [[0,b],[b,0]]
-        m = [
-            [
-                m[i][j] - (m[i][0] * m[1][j] + m[i][1] * m[0][j]) / b
-                for j in range(2, n)
-            ]
-            for i in range(2, n)
-        ]
+        p = next((i for i in range(n) if m[i][i]), None)
+        if p is None:
+            off = min(((i, j) for i in range(n) for j in range(n) if m[i][j]),
+                      key=lambda ij: abs(m[ij[0]][ij[1]]), default=None)
+            if off is None:
+                break  # zero matrix left; contributes nothing
+            p, j = off
+            m[p] = [x + y for x, y in zip(m[p], m[j])]
+            for row in m:
+                row[p] += row[j]
+        m[0], m[p] = m[p], m[0]
+        for row in m:
+            row[0], row[p] = row[p], row[0]
+        d, top = m[0][0], m[0][1:]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        m = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in m[1:]]
+        prev = d
     return sig
 
 

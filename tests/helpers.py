@@ -166,6 +166,59 @@ def representatives_matter(l, k0):
     return False
 
 
+def reference_signature(a):
+    """Signature of a symmetric matrix: #positive minus #negative eigenvalues.
+
+    Computed exactly by Lagrange congruence reduction over the rationals.
+    A nonzero diagonal pivot contributes its sign and its row/column are
+    eliminated by a rational symmetric row+column operation.  If the whole
+    remaining diagonal vanishes but an off-diagonal entry b survives, that
+    entry spans a hyperbolic 2x2 block [[0,b],[b,0]] with eigenvalues +-b:
+    it contributes 0 and is removed through its exact Schur complement.
+    No floating point is involved anywhere.
+    """
+    from surgeryinv.exactmat import is_symmetric
+
+    if not is_symmetric(a):
+        raise ValueError("signature of a non-symmetric matrix")
+    m = [[Fraction(x) for x in row] for row in a]
+    sig = 0
+    while m:
+        n = len(m)
+        pivot = next((i for i in range(n) if m[i][i] != 0), None)
+        if pivot is not None:
+            if pivot != 0:
+                m[0], m[pivot] = m[pivot], m[0]
+                for row in m:
+                    row[0], row[pivot] = row[pivot], row[0]
+            d = m[0][0]
+            sig += 1 if d > 0 else -1
+            m = [
+                [m[i][j] - m[i][0] * m[0][j] / d for j in range(1, n)]
+                for i in range(1, n)
+            ]
+            continue
+        off = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != 0),
+            None,
+        )
+        if off is None:
+            break  # zero matrix left; contributes nothing
+        i0, j0 = off
+        order = [i0, j0] + [k for k in range(n) if k not in (i0, j0)]
+        m = [[m[i][j] for j in order] for i in order]
+        b = m[0][1]
+        # Schur complement against the invertible block [[0,b],[b,0]]
+        m = [
+            [
+                m[i][j] - (m[i][0] * m[1][j] + m[i][1] * m[0][j]) / b
+                for j in range(2, n)
+            ]
+            for i in range(2, n)
+        ]
+    return sig
+
+
 def rand_unimodular(rng, n, steps=None):
     """Random unimodular matrix: a product of shears and signed swaps."""
     g = [[int(i == j) for j in range(n)] for i in range(n)]

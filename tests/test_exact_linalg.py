@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
@@ -22,7 +24,17 @@ from surgeryinv.exactmat import (
     smith_normal_form,
     transpose,
 )
-from helpers import direct_sum, rand_int_matrix, rand_symmetric, rand_unimodular, rank, zeros
+from helpers import (
+    direct_sum,
+    rand_int_matrix,
+    rand_symmetric,
+    rand_unimodular,
+    rank,
+    reference_signature,
+    zeros,
+)
+
+ALGEBRA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "algebra.py")
 
 
 def snf_certificate(a, snf):
@@ -223,6 +235,89 @@ def test_signature_properties():
         assert signature(direct_sum(a, b)) == signature(a) + signature(b)
         conj = mat_mul(transpose(g), mat_mul(a, g))
         assert signature(conj) == signature(a)
+
+
+def _congruent(a, g):
+    return mat_mul(transpose(g), mat_mul(a, g))
+
+
+def _hollow(a):
+    """a with its diagonal set to 0."""
+    return tuple(tuple(0 if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+@st.composite
+def signature_cases(draw):
+    """(a, g): a symmetric integer matrix and a unimodular g of its size.
+    a is small with small entries (half of them with a zero diagonal),
+    small with entries up to 10^6, or t(G) (H + A) G with a hyperbolic
+    plane H = [[0, b], [b, 0]] hidden by a unimodular G."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(["small", "large", "hyperbolic"]))
+    if family == "small":
+        a = rand_symmetric(rng, draw(st.integers(0, 12)), -4, 4)
+        if draw(st.booleans()):
+            a = _hollow(a)
+    elif family == "large":
+        a = rand_symmetric(rng, draw(st.integers(0, 8)), -10**6, 10**6)
+    else:
+        b = draw(st.integers(-10**6, 10**6).filter(bool))
+        rest = rand_symmetric(rng, draw(st.integers(0, 6)), -6, 6)
+        a = direct_sum(((0, b), (b, 0)), rest)
+        a = _congruent(a, rand_unimodular(rng, len(a)))
+    return a, rand_unimodular(rng, len(a))
+
+
+@settings(max_examples=400, deadline=None)
+@given(signature_cases())
+def test_signature_matches_lagrange_reduction_and_is_a_congruence_invariant(case):
+    a, g = case
+    sig = signature(a)
+    assert sig == reference_signature(a)
+    assert signature(_congruent(a, g)) == sig
+
+
+def test_signature_on_hollow_matrices():
+    # a zero diagonal forces the congruence step, often at several stages
+    rng = random.Random(110)
+    for k in range(300):
+        a = _hollow(rand_symmetric(rng, 4 + k % 9, -9, 9))
+        assert signature(a) == reference_signature(a), a
+
+
+def test_signature_against_descartes_oracle():
+    # perfbench's reference algebra shares no code with the package: it
+    # counts eigenvalue signs on the characteristic polynomial
+    spec = importlib.util.spec_from_file_location("perfbench_algebra", ALGEBRA)
+    algebra = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(algebra)
+    rng = random.Random(109)
+    for k in range(60):
+        a = rand_symmetric(rng, 1 + k % 8, -6, 6)
+        if k % 3 == 0:
+            a = _hollow(a)
+        assert signature(a) == algebra.signature(a), a
+
+
+def test_signature_makes_no_fraction(monkeypatch):
+    # the rational reduction of this matrix has pivots 2, 3/2, 4/3
+    a = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    assert reference_signature(a) == 3
+
+    def no_fraction(*args):
+        raise AssertionError("signature made a Fraction")
+
+    monkeypatch.setattr(exactmat, "Fraction", no_fraction)
+    assert signature(a) == 3
+    assert signature(mat_neg(a)) == -3
+
+
+def test_signature_at_40x40():
+    a = rand_symmetric(random.Random(40000), 40, -9, 9)
+    assert signature(a) == reference_signature(a)
+    hollow = _hollow(rand_symmetric(random.Random(40001), 40, -9, 9))
+    assert signature(hollow) == reference_signature(hollow)
 
 
 def block_certificate(a, dec):
