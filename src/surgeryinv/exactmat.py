@@ -342,13 +342,7 @@ def block_decompose(a):
     if not is_symmetric(a):
         raise ValueError("block decomposition needs a symmetric matrix")
     d, _, v = _smith(a, False, True)
-    return _split_off_kernel(a, _rank(d), v)
-
-
-def _split_off_kernel(a, r, v):
-    """block_decompose of the symmetric matrix a of rank r, given the
-    column transform v of its Smith form."""
-    n = len(a)
+    n, r = len(a), _rank(d)
     if r == n:
         return BlockDecomposition(identity(n), a, n)
     p = mat(v)

@@ -2,8 +2,8 @@
 
 For a closed oriented 3-manifold given by surgery on a link with n x n
 linking matrix L, the first homology is Z^n / L Z^n: its free rank b1 is
-the corank of L and its torsion part is read off the Smith normal form of
-the nonsingular block L0.  The same Smith form gives cyclic generators
+the corank of L and its torsion part is read off the Smith normal form of L
+itself, singular or not.  The same Smith form gives cyclic generators
 aligned with the invariant factors and the torsion linking form on them,
 with no matrix inverse (see linking_form_with_generators).
 """
@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactmat import _rank, _smith, _split_off_kernel, is_symmetric
+from .exactmat import _rank, _smith, is_symmetric
 
 
 class TorsionGroup(namedtuple("TorsionGroup", "factors")):
@@ -106,20 +106,17 @@ def full_homology(l):
 
 
 def _torsion_module(l):
-    """(rank, linking form, generators) of l: one Smith form when l is
-    nonsingular, its own block; a second, on the block, when it is not.
-    Each carries the column transform v only."""
+    """(rank, linking form, generators) of l, singular or not, from one
+    Smith form that carries the column transform v only; why the formula
+    holds for singular l is in linking_form_with_generators."""
     if not is_symmetric(l):
         raise ValueError("linking matrix must be symmetric")
     d, _, v = _smith(l, False, True)
     r = _rank(d)
-    a = _split_off_kernel(l, r, v).a0
-    if r < len(l):
-        d, _, v = _smith(a, False, True)
     cols = [k for k in range(r) if d[k][k] >= 2]
     gens = []
     for k in cols:
-        image = [sum(a[i][j] * v[j][k] for j in range(r)) for i in range(r)]
+        image = [sum(x * v[j][k] for j, x in enumerate(row)) for row in l]
         if any(x % d[k][k] for x in image):
             raise AssertionError("Smith form failed to give an integer generator")
         gens.append(tuple(x // d[k][k] for x in image))
@@ -136,13 +133,19 @@ def _torsion_module(l):
 def linking_form_with_generators(l):
     """Torsion linking form plus the generator columns it is written in.
 
-    With L0 the nonsingular block of the linking matrix and d = u * L0 * v
-    its Smith form, the classes of the columns g_k = inverse(u) e_k (for
-    invariant factors d_k >= 2) generate the torsion group, the k-th with
-    order d_k: x lies in L0 Z^r exactly when u x lies in d Z^r.  The form
-    on these generators is Q[k][m] = t(g_k) * inverse(L0) * g_m, read
-    modulo 1.  Neither inverse is formed: L0 v = inverse(u) d gives
-    g_k = L0 v e_k / d_k, an exact division, and inverse(L0) g_m = v e_m / d_m.
+    With d = u * l * v the Smith form of the n x n linking matrix l, the
+    classes of the columns g_k = inverse(u) e_k (for invariant factors
+    d_k >= 2) generate the torsion of Z^n / l Z^n, the k-th with order
+    d_k: x lies in l Z^n exactly when u x lies in d Z^n.  The form pairs
+    g_j with g_k as t(g_j) * y / d_k for any y with l y = d_k g_k, read
+    modulo 1.  Neither inverse is formed: l v = inverse(u) d gives
+    g_k = l v e_k / d_k, an exact division, and y = v e_k.
+
+    The pairing holds for singular l too.  Two choices of y differ by a
+    vector w of ker l, and every torsion class pairs to 0 with ker l:
+    d_j g_j = l z for some z, so d_j t(g_j) w = t(z) l w = 0.  The
+    generators are vectors of length n, in the coordinates of l.
+
     A different valid generator choice changes Q only by a group
     automorphism, which every Gauss sum downstream is blind to.
     """

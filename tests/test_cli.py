@@ -117,6 +117,24 @@ def test_linking_form_command(tmp_path, capsys):
     assert json.loads(out)["q_mod1"] == [["3/5"]]  # -2/5 mod 1
 
 
+def test_linking_form_of_a_singular_matrix_prints_generators_in_its_coordinates(
+        tmp_path, capsys):
+    l = ((2, 2, 0), (2, 2, 0), (0, 0, 5))
+    code, out, _ = run_cli(capsys, ["linking-form", write(tmp_path, "m.txt", l), "--json"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["t"], doc["factors"], doc["q_mod1"]) == (1, [10], [["7/10"]])
+    [g] = doc["generators"]
+    assert len(g) == 3
+
+    def in_image(x):
+        # l y = (2(y1 + y2), 2(y1 + y2), 5 y3)
+        return x[0] == x[1] and x[0] % 2 == 0 and x[2] % 5 == 0
+
+    assert in_image([10 * x for x in g])
+    assert not in_image([2 * x for x in g]) and not in_image([5 * x for x in g])
+
+
 def test_a_lens_preset_is_the_pinned_presentation_in_every_slot(capsys):
     # -2/5 mod 1, not the chain's generator-derived 2/5
     code, out, _ = run_cli(capsys, ["linking-form", "lens:5,2", "--json"])

@@ -18,10 +18,11 @@ from surgeryinv.exactmat import (
     smith_normal_form,
     transpose,
 )
-from surgeryinv.gauss import gauss_sum_over_lattice
+from surgeryinv.gauss import gauss_sum_over_lattice, partition_function
 from surgeryinv.homology import (
     LinkingForm,
     Group,
+    ManifoldPresentation,
     TorsionGroup,
     first_homology,
     full_homology,
@@ -237,16 +238,21 @@ def test_lens_presentation_takes_no_smith_form(monkeypatch):
 
 def reference_form(l):
     """The form as built from inverses: generators are the columns of
-    inverse(u) for d = u a0 v, and Q = t(g) inverse(a0) g."""
-    a0 = block_decompose(l).a0
-    r = len(a0)
-    snf = smith_normal_form(a0)
+    inverse(u) for the Smith form d = u l v, and Q = t(g) X g with
+    X = p diag(inverse(a0), 0) t(p) from the block decomposition
+    t(p) l p = diag(a0, 0), a pseudo-inverse of l on its image."""
+    n = len(l)
+    snf = smith_normal_form(l)
     u_inv = int_inverse(snf.u)
-    cols = [k for k in range(r) if snf.d[k][k] >= 2]
-    gens = tuple(tuple(u_inv[i][k] for i in range(r)) for k in cols)
-    a0_inv = rat_inverse(a0) if r else ()
+    cols = [k for k in range(n) if snf.d[k][k] >= 2]
+    gens = tuple(tuple(u_inv[i][k] for i in range(n)) for k in cols)
+    dec = block_decompose(l)
+    a0_inv = rat_inverse(dec.a0) if dec.rank else ()
+    pinv = [[sum(dec.p[i][a] * a0_inv[a][b] * dec.p[j][b]
+                 for a in range(dec.rank) for b in range(dec.rank))
+             for j in range(n)] for i in range(n)]
     q = tuple(
-        tuple(sum(g[i] * a0_inv[i][j] * h[j] for i in range(r) for j in range(r))
+        tuple(sum(g[i] * pinv[i][j] * h[j] for i in range(n) for j in range(n))
               for h in gens)
         for g in gens
     )
@@ -278,11 +284,12 @@ def draw_symmetric(draw, size, entries):
 
 
 @st.composite
-def symmetric_matrices(draw, max_size=4):
+def symmetric_matrices(draw, max_size=4, singular=False):
     """t(b) s b for a random integer r x n matrix b and symmetric s:
-    singular whenever r < n or b has dependent rows."""
+    singular whenever r < n or b has dependent rows, and r < n always
+    when singular."""
     n = draw(st.integers(1, max_size))
-    r = draw(st.integers(0, n))
+    r = draw(st.integers(0, n - 1 if singular else n))
     entries = st.integers(-4, 4)
     if r == 0:
         return zeros(n, n)
@@ -312,6 +319,19 @@ def test_inverse_free_form_equals_the_reference(l, data):
                     == reference_lattice_sum(summand, l, sign))
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_matrices(singular=True), st.data())
+def test_partition_of_a_singular_matrix_sums_over_the_reference_form(l, data):
+    size = data.draw(st.integers(1, 2))
+    c = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(size))
+              for _ in range(size))
+    ref_form, _ = reference_form(l)
+    ref = ManifoldPresentation(l, full_homology(l), ref_form)
+    got, want = partition_function(c, presentation(l)), partition_function(c, ref)
+    assert got == want
+    assert (got._modulus, got._counts) == (want._modulus, want._counts)
+
+
 def count_calls(monkeypatch, name, forbid=False):
     """Count calls of exactmat's `name` from every surgeryinv module that
     binds it; with forbid, any call fails the test."""
@@ -335,21 +355,21 @@ def kept(calls):
     return ["u" * keep_u + "v" * keep_v for _, keep_u, keep_v in calls]
 
 
-def test_one_smith_form_per_block_and_no_inverse(monkeypatch):
+def test_one_smith_form_per_matrix_and_no_inverse(monkeypatch):
     for name in ("rat_inverse", "int_inverse"):
         count_calls(monkeypatch, name, forbid=True)
     calls = count_calls(monkeypatch, "_smith")
     nonsingular = ((2, 1, 0), (1, 4, 3), (0, 3, 8))
     singular = ((1, 2, 1), (2, -6, 2), (1, 2, 1))
-    for l, snfs in ((nonsingular, 1), (singular, 2)):
+    for l in (nonsingular, singular):
         calls.clear()
         presentation(l)
-        assert len(calls) == snfs
-        assert kept(calls) == ["v"] * snfs
+        assert len(calls) == 1
+        assert kept(calls) == ["v"]
         calls.clear()
         linking_form_with_generators(l)
-        assert len(calls) == snfs
-        assert kept(calls) == ["v"] * snfs
+        assert len(calls) == 1
+        assert kept(calls) == ["v"]
         calls.clear()
         block_decompose(l)
         assert kept(calls) == ["v"]
@@ -375,7 +395,7 @@ def test_each_command_builds_only_the_transforms_it_reads(monkeypatch, tmp_path,
         ("homology", str(path)): [""],
         ("homology", "--preset", "hopf:2,3"): [""],
         ("homology", "--preset", "lens:12,5"): [],
-        ("linking-form", str(path)): ["v", "v"],
+        ("linking-form", str(path)): ["v"],
         ("snf", str(path)): ["uv"],
     }
     for argv, transforms in expected.items():
