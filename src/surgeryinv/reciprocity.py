@@ -12,19 +12,18 @@ along L; the left-hand sum is, up to conjugation, a U(1)^m partition
 function on a manifold surgered along K (when L is also even).  That
 exchange of the roles of coupling and linking matrix is the duality
 implemented by cs_dual.
+
+Each matrix M takes one Smith form and one signature.  M is unimodularly
+congruent to diag(M0, 0), so |det M0| is the torsion order of its cokernel,
+M's linking form (refined mod 2 if M is even) is M0's (Kawauchi-Kojima),
+and det M0 has the sign (-1)^((rank - sigma) / 2).  No block is split off.
 """
 
 from collections import namedtuple
 
-from .exactmat import (
-    block_decompose,
-    det_int,
-    is_even_symmetric,
-    is_symmetric,
-    mat_neg,
-    signature,
-)
-from .gauss import ComplexValue, eval_numeric, gauss_sum_over_lattice
+from .exactmat import is_even_symmetric, is_symmetric, mat_neg, signature
+from .gauss import ComplexValue, _form_module, _gauss_sum, eval_numeric
+from .homology import presentation
 
 
 class ReciprocityReport(namedtuple(
@@ -35,11 +34,11 @@ class ReciprocityReport(namedtuple(
     lhs and rhs are ComplexValues and abs_diff an mpmath number, all at
     `precision` bits; the signatures and determinants are exact ints.
     m, n are the sizes of the linking matrix l and the coupling matrix k;
-    r, s their ranks.  l_even records whether l had an even diagonal.  The
-    identity requires evenness only of k: the left-hand sum runs over the
-    quotient by k's nonsingular block K0, which is congruent to a block of
-    the even k and so is even itself, so that sum is well defined for an
-    odd l too.
+    r, s their ranks; det_l0, det_k0 the determinants of their nonsingular
+    blocks.  l_even records whether l had an even diagonal.  The identity
+    requires evenness only of k: the left-hand sum runs over k's linking
+    form, whose quadratic refinement the even k defines, so that sum is
+    well defined for an odd l too.
     """
 
     __slots__ = ()
@@ -68,10 +67,10 @@ def chat_from_even(l):
 def reciprocity_sides(l, k, precision=128, budget=None):
     """Evaluate both sides of the reciprocity identity for (l, k).
 
-    l is any symmetric integer matrix, k an even symmetric one; both are
-    reduced to their nonsingular blocks internally, which is always
-    possible.  Determinants and signatures stay exact; only the final
-    scalar combination (inverse square roots of determinants and the
+    l is any symmetric integer matrix, k an even symmetric one.  One Smith
+    form of each gives its rank and the |det| of its nonsingular block, and
+    its signature the sign of that determinant.  Both stay exact; only the
+    final scalar combination (inverse square roots of determinants and the
     eighth root of unity) is floating point, at `precision` bits.
     """
     if not is_symmetric(l):
@@ -80,16 +79,14 @@ def reciprocity_sides(l, k, precision=128, budget=None):
         raise ValueError("coupling-side matrix must be symmetric with even diagonal")
     m = len(l)
     n = len(k)
-    dec_l = block_decompose(l)
-    dec_k = block_decompose(k)
-    r, s = dec_l.rank, dec_k.rank
-    det_l0 = det_int(dec_l.a0)
-    det_k0 = det_int(dec_k.a0)
-    sigma_l = signature(l)
-    sigma_k = signature(k)
+    man_l, man_k = presentation(l), presentation(k)
+    r, s = m - man_l.b1, n - man_k.b1
+    sigma_l, sigma_k = signature(l), signature(k)
+    det_l0 = (-1) ** ((r - sigma_l) // 2) * man_l.torsion.order
+    det_k0 = (-1) ** ((s - sigma_k) // 2) * man_k.torsion.order
 
-    lhs_sum = gauss_sum_over_lattice(l, dec_k.a0, +1, budget=budget)
-    rhs_sum = gauss_sum_over_lattice(k, dec_l.a0, -1, budget=budget)
+    lhs_sum = _gauss_sum(l, _form_module(man_k.form), +1, budget)
+    rhs_sum = _gauss_sum(k, _form_module(man_l.form), -1, budget)
 
     from mpmath import mp
 

@@ -8,6 +8,8 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 
 def rand_int_matrix(rng, rows, cols, lo=-9, hi=9):
     return tuple(
@@ -28,6 +30,34 @@ def rand_even_symmetric(rng, n, lo=-6, hi=6):
     for i in range(n):
         m[i][i] = 2 * rng.randint(lo // 2, hi // 2)
     return tuple(tuple(row) for row in m)
+
+
+def draw_symmetric(draw, size, entries):
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=4, singular=False, even=False):
+    """t(b) s b for a random integer r x n matrix b and symmetric s:
+    singular whenever r < n or b has dependent rows, and r < n always
+    when singular; even (s with an even diagonal) when even."""
+    from surgeryinv.exactmat import mat_mul, transpose
+
+    n = draw(st.integers(1, max_size))
+    r = draw(st.integers(0, n - 1 if singular else n))
+    entries = st.integers(-4, 4)
+    if r == 0:
+        return zeros(n, n)
+    b = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(r))
+    s = draw_symmetric(draw, r, entries)
+    if even:
+        s = tuple(tuple(2 * x if i == j else x for j, x in enumerate(row))
+                  for i, row in enumerate(s))
+    return mat_mul(transpose(b), mat_mul(s, b))
 
 
 def brute_radical_terms(k, form):

@@ -367,6 +367,7 @@ def test_console_entry_point(tmp_path):
 # enumeration: the path must not change a byte of the output
 HIDDEN_4_12_12 = ((16, 20, 0), (20, 40, -12), (0, -12, 12))  # t(g) diag(4, 12, 12) g
 K_10799 = ((4, 0, -9, 10), (0, -16, 3, 9), (-9, 3, 2, -1), (10, 9, -1, -20))
+SINGULAR_ODD_L = ((2, 2, 0), (2, 2, 0), (0, 0, 5))
 GOLDEN = [
     (["partition", "--json"], ((1, 2), (0, 3)), "lens:2000,3",
      "eac146f010bdefd006d301d24c9fb6a679b916e7e601c3dbacad6254c9bb1211"),
@@ -388,6 +389,15 @@ GOLDEN = [
      "65da01e0708448186a0c24be2aea495876f6d7672efdbf7e24ff49c8445561c0"),
     (["partition", "--json"], ((-2,),), K_10799,
      "0556be3fb9151a20312f5329b7016e7b6d2f8cc912969d5c15cb24722875bccc"),
+    # recorded while reciprocity still split off the nonsingular blocks:
+    # a singular odd l against a nonsingular k, then singular even l and k,
+    # then singular odd l against singular k
+    (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((2, 1), (1, 2)),
+     "043f601c8796ad92c24158dd22d64fc7276ea73d2804d23b1d3e9e61ca776bbf"),
+    (["reciprocity", "--json", "--precision", "256"], ((2, -2), (-2, 2)), ((0, 0), (0, 4)),
+     "45f3cc1c034559ec5a78266c5e1ecbfda74fad25c05f66ed2aed2b74a320ff7c"),
+    (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((0, 0), (0, 4)),
+     "79ba73213078355b532e64f234802d4a4c918c691ef3dcb96476e77ba0e62c57"),
 ]
 
 

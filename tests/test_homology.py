@@ -8,15 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surgeryinv import exactmat, gauss, homology
+from surgeryinv import exactmat, gauss, homology, reciprocity
 from surgeryinv.exactmat import (
     block_decompose,
     det_int,
     int_inverse,
-    mat_mul,
     rat_inverse,
     smith_normal_form,
-    transpose,
 )
 from surgeryinv.gauss import gauss_sum_over_lattice, partition_function
 from surgeryinv.homology import (
@@ -33,7 +31,14 @@ from surgeryinv.homology import (
     presentation,
 )
 from surgeryinv.surgery import borromean, hopf, unknot
-from helpers import direct_sum, rand_symmetric, representatives_matter, zeros
+from helpers import (
+    direct_sum,
+    draw_symmetric,
+    rand_symmetric,
+    representatives_matter,
+    symmetric_matrices,
+    zeros,
+)
 
 
 def test_torsion_group_validation():
@@ -275,28 +280,6 @@ def reference_lattice_sum(l, k0, sign):
     return gauss._gauss_sum(l, module, sign * (1 if det > 0 else -1), None)
 
 
-def draw_symmetric(draw, size, entries):
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            rows[i][j] = rows[j][i] = draw(entries)
-    return tuple(map(tuple, rows))
-
-
-@st.composite
-def symmetric_matrices(draw, max_size=4, singular=False):
-    """t(b) s b for a random integer r x n matrix b and symmetric s:
-    singular whenever r < n or b has dependent rows, and r < n always
-    when singular."""
-    n = draw(st.integers(1, max_size))
-    r = draw(st.integers(0, n - 1 if singular else n))
-    entries = st.integers(-4, 4)
-    if r == 0:
-        return zeros(n, n)
-    b = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(r))
-    return mat_mul(transpose(b), mat_mul(draw_symmetric(draw, r, entries), b))
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(symmetric_matrices(), st.data())
 def test_inverse_free_form_equals_the_reference(l, data):
@@ -344,7 +327,7 @@ def count_calls(monkeypatch, name, forbid=False):
         calls.append(args)
         return original(*args)
 
-    for mod in (exactmat, homology, gauss):
+    for mod in (exactmat, homology, gauss, reciprocity):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
@@ -383,6 +366,17 @@ def test_one_smith_form_per_matrix_and_no_inverse(monkeypatch):
     gauss_sum_over_lattice(((2,),), nonsingular, +1)
     assert len(calls) == 1
     assert kept(calls) == ["v"]
+    # reciprocity: one Smith form and one signature per matrix, no block
+    # split and no determinant
+    for name in ("det_int", "block_decompose"):
+        count_calls(monkeypatch, name, forbid=True)
+    signatures = count_calls(monkeypatch, "signature")
+    for l, k in ((nonsingular, ((2, 1), (1, 2))), (singular, ((0, 0), (0, 4)))):
+        calls.clear()
+        signatures.clear()
+        reciprocity.reciprocity_sides(l, k)
+        assert kept(calls) == ["v", "v"]
+        assert len(signatures) == 2
 
 
 def test_each_command_builds_only_the_transforms_it_reads(monkeypatch, tmp_path, capsys):

@@ -1,8 +1,19 @@
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from surgeryinv.exactmat import block_decompose, mat_mul, mat_neg, transpose
+from surgeryinv import gauss
+from surgeryinv.exactmat import (
+    BudgetExceededError,
+    block_decompose,
+    det_int,
+    mat_mul,
+    mat_neg,
+    transpose,
+)
 from surgeryinv.gauss import (
     conjugate,
     eval_numeric,
@@ -12,7 +23,7 @@ from surgeryinv.gauss import (
 from surgeryinv.homology import first_homology, presentation
 from surgeryinv.reciprocity import chat_from_even, cs_dual, reciprocity_sides
 from surgeryinv.surgery import coupling_to_even, kirby1, kirby2
-from helpers import rand_even_symmetric, rand_symmetric, zeros
+from helpers import rand_even_symmetric, rand_symmetric, symmetric_matrices, zeros
 
 
 def test_chat_from_even():
@@ -53,6 +64,39 @@ def test_reciprocity_empty():
     assert complex(report.lhs) == 1 + 0j
     assert complex(report.rhs) == 1 + 0j
     assert report.abs_diff == 0
+
+
+def maybe_singular(even=False):
+    return st.booleans().flatmap(
+        lambda singular: symmetric_matrices(3, singular=singular, even=even))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(maybe_singular(), maybe_singular(even=True))
+def test_one_pass_per_matrix_equals_the_split_off_blocks(l, k):
+    # oracle: split off each nonsingular block a0 with
+    # block_decompose, take det_int(a0), and sum over Z^r / a0 Z^r
+    budget = 20_000
+    for a, b, sign in ((l, k, +1), (k, l, -1)):
+        module = gauss._form_module(presentation(b).form)
+        a0 = block_decompose(b).a0
+        try:
+            got = gauss._gauss_sum(a, module, sign, budget)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
+                gauss_sum_over_lattice(a, a0, sign, budget)
+            continue
+        want = gauss_sum_over_lattice(a, a0, sign, budget)
+        assert got == want
+        assert (got._modulus, got._counts) == (want._modulus, want._counts)
+    try:
+        report = reciprocity_sides(l, k, precision=64, budget=budget)
+    except BudgetExceededError:
+        return
+    dec_l, dec_k = block_decompose(l), block_decompose(k)
+    assert (report.r, report.det_l0) == (dec_l.rank, det_int(dec_l.a0))
+    assert (report.s, report.det_k0) == (dec_k.rank, det_int(dec_k.a0))
+    assert float(report.abs_diff) < 1e-9
 
 
 def test_reciprocity_random_pairs():
