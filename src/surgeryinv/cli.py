@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 
 from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, smith_normal_form
 from .homology import (
@@ -152,8 +153,19 @@ def _value_doc(value):
     }
 
 
+class _PhaseList:
+    """The phases of a CyclotomicSum as the JSON list [["num/den", m], ...]
+    in increasing phase, lowest terms: _dumps writes it straight from the
+    sum's integer keys over its modulus."""
+
+    __slots__ = ("counts", "modulus")
+
+    def __init__(self, counts, modulus):
+        self.counts, self.modulus = counts, modulus
+
+
 def _phases_doc(s):
-    return [[f"{num}/{den}", m] for num, den, m in s._reduced_items()]
+    return _PhaseList(s._counts, s._modulus)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -161,9 +173,15 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _dumps(o, newline="\n"):
     """Exactly json.dumps(o, indent=2, sort_keys=True) for the documents
-    the commands build (dicts with str keys, lists, str, int, bool, None).
-    With an indent, json falls back to its pure-Python encoder, which is
-    slower than these joins and leaves reference cycles behind."""
+    the commands build (dicts with str keys, lists, str, int, bool, None,
+    and _phases_doc's phase lists, written as ["num/den", m] lists).
+
+    Two shapes take one pass and no call per item: a list or tuple of
+    plain ints, which is every matrix row, is one join; a phase list is one
+    f-string per phase, each key k reduced over the modulus M by one
+    gcd(k, M), at the indent where the list sits.  With an indent, json
+    falls back to its pure-Python encoder, which is slower than these joins
+    and leaves reference cycles behind."""
     if type(o) is str:
         return _encode_str(o)
     if type(o) is int:
@@ -175,17 +193,26 @@ def _dumps(o, newline="\n"):
     if o is False:
         return "false"
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(o, dict):
         if not o:
             return "{}"
         items = [_encode_str(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "{" + inner + sep.join(items) + newline + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        # ints, the bulk of every matrix, skip the call
-        items = [int.__repr__(x) if type(x) is int else _dumps(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        if set(map(type, o)) == {int}:
+            return "[" + inner + sep.join(map(int.__repr__, o)) + newline + "]"
+        return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + newline + "]"
+    if type(o) is _PhaseList:
+        m, counts = o.modulus, o.counts
+        if not counts:
+            return "[]"
+        deeper = inner + "  "
+        items = [f'[{deeper}"{k // g}/{m // g}",{deeper}{counts[k]}{inner}]'
+                 for k in sorted(counts) for g in (gcd(k, m),)]
+        return "[" + inner + sep.join(items) + newline + "]"
     return json.dumps(o)
 
 
@@ -321,7 +348,7 @@ def cmd_partition(args):
     def text_lines():
         lines = [
             "phases (num/den multiplicity):",
-            *[f"  {ph} {m}" for ph, m in doc["phases"]],
+            *[f"  {num}/{den} {m}" for num, den, m in z._reduced_items()],
             f"value = {doc['value']['re']} + {doc['value']['im']} i",
         ]
         if man.b1 > 0:

@@ -100,15 +100,14 @@ class CyclotomicSum:
 
     def items(self):
         """Term list sorted by phase; the canonical iteration order."""
-        m = self._modulus
-        return tuple((Fraction(k, m), v) for k, v in sorted(self._counts.items()))
+        m, counts = self._modulus, self._counts
+        return tuple((Fraction(k, m), counts[k]) for k in sorted(counts))
 
     def _reduced_items(self):
         """(numerator, denominator, multiplicity) per phase in lowest terms,
         sorted by phase, with no Fraction made."""
-        m, gcd = self._modulus, math.gcd
-        return [(k // g, m // g, v)
-                for k, v in sorted(self._counts.items()) for g in (gcd(k, m),)]
+        m, counts, gcd = self._modulus, self._counts, math.gcd
+        return [(k // g, m // g, counts[k]) for k in sorted(counts) for g in (gcd(k, m),)]
 
     @property
     def total_multiplicity(self):

@@ -20,6 +20,7 @@ from surgeryinv.cli import (
     format_matrix,
     parse_matrix,
 )
+from surgeryinv.gauss import CyclotomicSum
 from helpers import rand_symmetric
 
 
@@ -398,6 +399,12 @@ GOLDEN = [
      "45f3cc1c034559ec5a78266c5e1ecbfda74fad25c05f66ed2aed2b74a320ff7c"),
     (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((0, 0), (0, 4)),
      "79ba73213078355b532e64f234802d4a4c918c691ef3dcb96476e77ba0e62c57"),
+    # text mode, recorded while its phase lines were read from the JSON
+    # document's phase list
+    (["partition"], ((-2,),), K_10799,
+     "f4505fe2f8c45fa5eaf9c1ebcf049945b3580500c3ffc9fe9b27265cee6fa111"),
+    (["partition"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
+     "b699365e98f81589b1b83b58a383df7d07468bc17dc836af84afa64c0aaa3634"),
 ]
 
 
@@ -618,6 +625,69 @@ json_documents = st.recursive(
 @given(json_documents)
 def test_dumps_equals_json_dumps_with_indent(doc):
     assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@st.composite
+def phase_sums(draw):
+    """An engine sum over integer keys, or the same phases given to the
+    public constructor."""
+    modulus = draw(st.sampled_from([1, 2, 12, 2 * 3**5]) | st.integers(1, 2**200))
+    counts = draw(st.dictionaries(st.integers(0, modulus - 1),
+                                  st.integers(-10**30, 10**30).filter(bool), max_size=30))
+    s = CyclotomicSum._from_counts(counts, modulus)
+    return CyclotomicSum(s.items()) if draw(st.booleans()) else s
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_sums() | st.just(CyclotomicSum._from_counts({0: 1}, 1)) | st.just(CyclotomicSum()),
+       st.lists(st.tuples(st.booleans(), json_documents, st.text(max_size=6)), max_size=3))
+def test_dumps_writes_a_phase_list_as_json_dumps_writes_the_fraction_list(s, nesting):
+    # the phase list at top level, or nested in lists and dicts beside
+    # other values, against the list of "num/den" strings read off Fractions
+    doc = cli._phases_doc(s)
+    want = [[f"{p.numerator}/{p.denominator}", m] for p, m in s.items()]
+    for in_dict, sibling, key in nesting:
+        if in_dict:
+            doc, want = {key: doc, "~" + key: sibling}, {key: want, "~" + key: sibling}
+        else:
+            doc, want = [sibling, doc], [sibling, want]
+    assert cli._dumps(doc) == json.dumps(want, indent=2, sort_keys=True)
+
+
+def test_every_json_document_is_what_json_dumps_writes(tmp_path, capsys):
+    m = write(tmp_path, "m.txt", ((3, 1, 0), (1, 2, 1), (0, 1, -5)))
+    unimodular = write(tmp_path, "u.txt", ((1,),))
+    c = write(tmp_path, "c.txt", ((1, 1), (0, 2)))
+    k = write(tmp_path, "k.txt", ((2, 1), (1, 4)))
+    l = write(tmp_path, "l.txt", ((-6,),))
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        # 5000 digits: beyond Python's default int/str conversion limit of 4300
+        big = write(tmp_path, "big.txt", ((10**4999 + 7,),))
+        argvs = [
+            ["snf", m], ["snf", big],
+            ["homology", m], ["homology", "--preset", "lens:7,2"],
+            ["homology", "--preset", "borromean"], ["homology", big],
+            ["linking-form", m], ["linking-form", "--preset", "lens:5,2"],
+            ["linking-form", unimodular], ["linking-form", big],
+            ["partition", "--coupling", c, "--manifold", "lens:12,5"],
+            ["partition", "--coupling", unimodular, "--manifold", unimodular],
+            ["partition", "--coupling", unimodular, "--manifold", "unknot:0"],
+            ["reciprocity", "--l", unimodular, "--k", k],
+            ["kirby", m, "--move", "2", "--args", "1,2,+1"],
+            ["kirby", big, "--move", "1", "--args", "-1"],
+            ["evenize", m], ["dual", "--l", l, "--k", k],
+        ]
+        for argv in argvs:
+            code, out, err = run_cli(capsys, argv + ["--json"])
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(saved)
 
 
 # sha256 of the help text at COLUMNS=80, recorded with a parser built once

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import random
 import time
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from surgeryinv import gauss
-from surgeryinv.cli import _phases_doc
+from surgeryinv.cli import _dumps, _phases_doc
 from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, smith_normal_form, transpose
 from surgeryinv.gauss import (
     BudgetExceededError,
@@ -969,7 +970,7 @@ def test_engine_sums_read_out_like_their_phases(seed, flip):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32), st.booleans())
 def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, flip):
-    # the integer-key shortcuts in conjugate and cli._phases_doc, against
+    # the integer-key shortcuts in conjugate and in cli's phase list, against
     # the Fraction path, on an engine sum and on the same phases given to
     # the public constructor
     rng = random.Random(seed)
@@ -980,8 +981,8 @@ def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, fl
     built = engine_sum(counts, modulus, flip)
     public = CyclotomicSum(built.items())
     for s in (built, public):
-        assert _phases_doc(s) == [[f"{p.numerator}/{p.denominator}", m]
-                                  for p, m in s.items()]
+        phases = json.loads(_dumps(_phases_doc(s)))
+        assert phases == [[f"{p.numerator}/{p.denominator}", m] for p, m in s.items()]
         got = conjugate(s)
         want = CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
         assert got == want and want == got
