@@ -408,8 +408,7 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, a, b, digest", GOLDEN, ids=range(len(GOLDEN)))
-def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
+def run_golden(tmp_path, capsys, argv, a, b):
     if argv[0] == "partition":
         manifold = b if isinstance(b, str) else write(tmp_path, "m.txt", b)
         argv = argv + ["--coupling", write(tmp_path, "c.txt", a), "--manifold", manifold]
@@ -417,7 +416,56 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
         argv = argv + ["--l", write(tmp_path, "l.txt", a), "--k", write(tmp_path, "k.txt", b)]
     code, out, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("argv, a, b, digest", GOLDEN, ids=range(len(GOLDEN)))
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
+    out = run_golden(tmp_path, capsys, argv, a, b)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of each GOLDEN entry's stdout without its readout, recorded before
+# the baby-step/giant-step readout: every byte that eval_numeric does not
+# write (phase lists, invariants, metadata) stays as it was
+READOUT_FIELDS = ("value", "lhs", "rhs", "abs_diff")
+READOUT_LINES = ("value = ", "lhs = ", "rhs = ", "|lhs - rhs| = ")
+CANONICAL = [
+    "9be2f3ee2c0799991cab72fc241bac3a786a63847f4d9cebeac2643bf11d46b0",
+    "26441583168aa107d922500e11250da388b9db809de457d90d9f4fb9eda2ab6c",
+    "d47a7946b0db7d209859dc9cb3687c0c1d1dd51571ea856fa5dde79420f90279",
+    "b2d2bf3565abcaeb96feaf205197ecfb5e3c966220f44134d04df90c282c74cc",
+    "689744b50951e1c00c15e3fea9101fc02d63958d0505940bd916166a0224b714",
+    "2f37ed6e1dfc99466b97f9c4bc32284d5700e31c80eeca7450b45a55232299ca",
+    "71e05360f7e0f9024171d023253d0bc17404c2fe19714f81e0dd109c703af506",
+    "4fae0dcf905e7ed1c8420507f0d14cfb5b4303bc9c7d6af79e124699eec91c26",
+    "5ab9eff5c0a6ad9571fba532a8fd2fb3ef2ceb93060045726b39f3ba1e479fde",
+    "32aa5a00b5c55b794dd1c8aa8be28cddba4caa4def6c92886f620b162ae58d09",
+    "eb2b312698e000ffd74b89f4063412713ad7cf1d3cc6c39446c1b989a30f0d77",
+    "dea56b758eb2fda19e07f863177bfd5b48fbfef3832596d07c38b605c7499ae6",
+    "a1ad380c59f0e7e7ccd1791b67b90a1f83379609ecdb98f6c1afcb137e518613",
+]
+
+
+def without_readout(argv, out):
+    """stdout with the JSON fields or the text lines of the numeric readout
+    removed."""
+    if "--json" in argv:
+        doc = json.loads(out)
+        for field in READOUT_FIELDS:
+            doc.pop(field, None)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith(READOUT_LINES))
+
+
+@pytest.mark.parametrize("entry, digest", list(zip(GOLDEN, CANONICAL)),
+                         ids=range(len(GOLDEN)))
+def test_output_bytes_outside_the_readout_are_pinned(tmp_path, capsys, entry, digest):
+    argv, a, b, _ = entry
+    out = run_golden(tmp_path, capsys, argv, a, b)
+    assert out != without_readout(argv, out)
+    assert hashlib.sha256(without_readout(argv, out).encode()).hexdigest() == digest
 
 
 # Every in-process caller shares one parser: these tests check that reusing
