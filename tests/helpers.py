@@ -5,6 +5,7 @@ and reproducible.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -307,9 +308,11 @@ def reference_evenize(l):
 
 
 def reference_root_walk(den, residues, width):
-    """gauss._root_walk as the four-multiplication reference: the same root,
-    the same z^(2^j) table and the same chain of truncated products, with
-    every multiplicity applied to its power as the walk goes."""
+    """The readout's former per-phase walk, with four multiplications a
+    product: one root z = e^{2 pi i/den} scaled by 2^width, its z^(2^j)
+    table, and one chain of truncated products from each residue of
+    (k, mult) in increasing k to the next, every multiplicity applied to
+    its power as the walk goes."""
     from mpmath import mp
 
     if den > 1:
@@ -338,20 +341,33 @@ def _fixed_mul(x, y, width):
     return (a * c - b * d) >> width, (a * d + b * c) >> width
 
 
-def reference_eval_numeric(s, precision):
-    """gauss.eval_numeric with every group's residues sorted here and read
-    out by reference_root_walk: the (re, im) mpf pair."""
-    from mpmath import mp
+def root_groups(s):
+    """The roots eval_numeric reads s from: triples (L, residues, mults) in
+    increasing residue, one triple when the lcm of the denominators fits
+    one root."""
+    from surgeryinv.gauss import _ROOT_BITS, _root_groups
 
-    from surgeryinv.gauss import _root_groups
+    m, counts = s._modulus, s._counts
+    keys = sorted(counts)
+    g = math.gcd(m, *keys)
+    if (m // g).bit_length() > _ROOT_BITS:
+        return _root_groups(s, keys)
+    return [(m // g, [k // g for k in keys], [counts[k] for k in keys])]
+
+
+def reference_eval_numeric(s, precision):
+    """gauss.eval_numeric as it read sums before the baby-step/giant-step
+    reader: the same roots and widths, each root's residues read out by
+    reference_root_walk.  Returns the (re, im) mpf pair."""
+    from mpmath import mp
 
     mults = s._counts
     slack = (precision + len(mults).bit_length()
              + sum(abs(m) for m in mults.values()).bit_length() + 8)
     re = im = width = 0
-    for den, res in _root_groups(s):
+    for den, res, ms in root_groups(s):
         w = slack + 2 * den.bit_length()
-        part_re, part_im = reference_root_walk(den, sorted(res), w)
+        part_re, part_im = reference_root_walk(den, list(zip(res, ms)), w)
         if w > width:
             re, im, width = re << (w - width), im << (w - width), w
         re += part_re << (width - w)

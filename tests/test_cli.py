@@ -364,37 +364,41 @@ def test_console_entry_point(tmp_path):
     assert "torsion = 5" in out
 
 
-# sha256 of stdout, recorded before the Jordan block path replaced block
-# enumeration: the path must not change a byte of the output
+# sha256 of stdout.  The entries were recorded before the changes their
+# comments name, which left every byte alone.  The baby-step/giant-step
+# readout forms different truncated products, so every entry but 9 and 10
+# was re-pinned with it: only digits below the readout's proven bound
+# moved (the noise digits of components that are exactly 0), and
+# CANONICAL below holds every other byte as recorded before it
 HIDDEN_4_12_12 = ((16, 20, 0), (20, 40, -12), (0, -12, 12))  # t(g) diag(4, 12, 12) g
 K_10799 = ((4, 0, -9, 10), (0, -16, 3, 9), (-9, 3, 2, -1), (10, 9, -1, -20))
 SINGULAR_ODD_L = ((2, 2, 0), (2, 2, 0), (0, 0, 5))
 GOLDEN = [
     (["partition", "--json"], ((1, 2), (0, 3)), "lens:2000,3",
-     "eac146f010bdefd006d301d24c9fb6a679b916e7e601c3dbacad6254c9bb1211"),
+     "42eb526618c39350a7480f32d078e842d478c970a5c740be764e84c8721ebd3e"),
     (["partition", "--json"], ((1, 0, 2, 0), (1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 3)),
-     "lens:16,5", "836cab066aef6744849ed0f733da2b2d533ca1e1350172b8053b3a770bfd23fe"),
+     "lens:16,5", "6c586627e34e7d76f29ad1c46884307c4f91215ad50a973e91f92eec9e158501"),
     (["partition", "--json"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
-     "3acba387e2bbd7215973461070a6c5e936e812795ac01684f070b2d01e8b950e"),
+     "eeda639c2a16dd07d10f2dc7f4992dc786f10c08e9207febf4a29090cf4bd5e6"),
     (["partition", "--json"], ((2, 1), (0, 1)), HIDDEN_4_12_12,
-     "87a322ff0fd248535770cbca5b797fe2153f5ed072b2217ec36b489c057613c9"),
+     "4b2083cc885d8ae0d3aa96f177e8af44c1e45779e063f7fd4436713fd764b6b2"),
     # even pairs with cokernels Z_419 and Z_431, then Z_1999 and Z_2011
     (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 210)), ((2, 1), (1, 216)),
-     "592137e80d6ac87990af8fc05a8cc4d3477792fcfcffa0f99a90cb92b15ae881"),
+     "1dd93d1ee58be262904878d88032242b758e38701f8d67b4df2f2c8251e13bae"),
     (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 1000)), ((-2, 1), (1, -1006)),
-     "257c3dc025320554330bf9363caeb06831b7dc4ece0569c149fae39f9f98280e"),
+     "9df37784dd4bee8a641c443c2bd305e4a6ecc0b63fc77dc782f8c0ad419323d1"),
     # recorded before the three-multiplication readout: l = (4) against an
     # even 4x4 k with cokernel Z_10799 (5,445 distinct phases), then the
     # dual theory, coupling (-2) from `dual` on the manifold k (5,400)
     (["reciprocity", "--json", "--precision", "256"], ((4,),), K_10799,
-     "65da01e0708448186a0c24be2aea495876f6d7672efdbf7e24ff49c8445561c0"),
+     "a34adb93b9f67ee730ed4c3a8cb11c05187b4af3ac04231202dd8a5d7bf7ca03"),
     (["partition", "--json"], ((-2,),), K_10799,
-     "0556be3fb9151a20312f5329b7016e7b6d2f8cc912969d5c15cb24722875bccc"),
+     "e6c9110e138134233cf3dee102c851fa0d1889ec6f6f661b9e0d1f99c800b329"),
     # recorded while reciprocity still split off the nonsingular blocks:
     # a singular odd l against a nonsingular k, then singular even l and k,
     # then singular odd l against singular k
     (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((2, 1), (1, 2)),
-     "043f601c8796ad92c24158dd22d64fc7276ea73d2804d23b1d3e9e61ca776bbf"),
+     "e11ddc983c1a65151be844dc499f56b01bbc0f82032a5c3b0a725e44f81f84af"),
     (["reciprocity", "--json", "--precision", "256"], ((2, -2), (-2, 2)), ((0, 0), (0, 4)),
      "45f3cc1c034559ec5a78266c5e1ecbfda74fad25c05f66ed2aed2b74a320ff7c"),
     (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((0, 0), (0, 4)),
@@ -402,9 +406,9 @@ GOLDEN = [
     # text mode, recorded while its phase lines were read from the JSON
     # document's phase list
     (["partition"], ((-2,),), K_10799,
-     "f4505fe2f8c45fa5eaf9c1ebcf049945b3580500c3ffc9fe9b27265cee6fa111"),
+     "92a1d14653ac1373f7db7524a7cf6a4020e9afe4e7f0bea3dbb306fa998efe5e"),
     (["partition"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
-     "b699365e98f81589b1b83b58a383df7d07468bc17dc836af84afa64c0aaa3634"),
+     "cf9e31042099fd37d9b2caef988661df6a2119603b586015fcec230d597fde38"),
 ]
 
 

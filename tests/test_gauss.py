@@ -40,8 +40,8 @@ from helpers import (
     rand_symmetric,
     rand_unimodular,
     reference_eval_numeric,
-    reference_root_walk,
     representatives_matter,
+    root_groups,
 )
 
 
@@ -672,13 +672,13 @@ def test_readout_takes_one_transcendental_per_sum(monkeypatch):
 
 def test_unrelated_denominators_split_into_bounded_roots(monkeypatch):
     roots = []
-    walk = gauss._root_walk
+    read = gauss._root_read
 
-    def recording(den, residues, width):
+    def recording(den, keys, mults, width):
         roots.append(den)
-        return walk(den, residues, width)
+        return read(den, keys, mults, width)
 
-    monkeypatch.setattr(gauss, "_root_walk", recording)
+    monkeypatch.setattr(gauss, "_root_read", recording)
     rng = random.Random(300)
     dens = [rng.randint(2, 10**9) for _ in range(100)]
     s = CyclotomicSum((Fraction(rng.randrange(1, d), d), 1) for d in dens)
@@ -731,7 +731,7 @@ def walk_cases(draw):
         dens = [rng.randint(10**8, 10**12) for _ in range(rng.randint(12, 30))]
         s = CyclotomicSum((Fraction(rng.randrange(1, d), d), rng.randint(1, 5))
                           for d in dens)
-        assert len(gauss._root_groups(s)) > 1
+        assert len(root_groups(s)) > 1
     else:
         den = rng.choice([1, 2, 4])
         s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-5, 5))
@@ -742,18 +742,50 @@ def walk_cases(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(walk_cases())
-def test_readout_matches_the_reference_walk_bit_for_bit(case):
-    # the same integers as the four-multiplication walk, residue lists in
-    # increasing order, and the same mpf bits out of eval_numeric
+def test_readout_is_within_its_bound_of_the_reference_walk(case):
+    # each root's unrounded integers within the bound eval_numeric derives,
+    # (2.5 sum |mult| k + 1) 2^-W a component, of a finer reference; the
+    # value within its readout bound, and within twice that bound of the
+    # former per-phase walk
     s, precision = case
-    for den, res in gauss._root_groups(s):
-        keys = [k for k, _ in res]
+    slack = (precision + len(s).bit_length()
+             + sum(abs(m) for m in s._counts.values()).bit_length() + 8)
+    for den, keys, mults in root_groups(s):
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        width = precision + 2 * den.bit_length() + 8
-        assert gauss._root_walk(den, res, width) == reference_root_walk(den, res, width)
+        width = slack + 2 * den.bit_length()
+        re, im = gauss._root_read(den, keys, mults, width)
+        with mp.workprec(max(2 * precision, width) + 64):
+            ref = mp.fsum(m * mp.expjpi(2 * mp.mpf(k) / den) for k, m in zip(keys, mults))
+            bound = (mp.mpf(5) / 2 * sum(abs(m) * k for k, m in zip(keys, mults)) + 1) \
+                * mp.mpf(2) ** -width
+            assert abs(mp.ldexp(re, -width) - ref.real) <= bound
+            assert abs(mp.ldexp(im, -width) - ref.imag) <= bound
     value = eval_numeric(s, precision)
+    assert_within_readout_bound(value, s, precision)
     re, im = reference_eval_numeric(s, precision)
-    assert (value.re._mpf_, value.im._mpf_) == (re._mpf_, im._mpf_)
+    with mp.workprec(2 * precision + 64):
+        bound = 4 * mp.mpf(2) ** -precision * max(1, mp.hypot(re, im))
+        assert abs(value.re - re) <= bound and abs(value.im - im) <= bound
+
+
+def test_readout_walks_about_sqrt_l_powers(monkeypatch):
+    # the dense sum of test_readout_takes_one_transcendental_per_sum, over
+    # L = 5000: baby and giant powers, not one power per phase
+    points = []
+    walk = gauss._power_walk
+
+    def counting(table, exps, width):
+        for power in walk(table, exps, width):
+            points.append(power)
+            yield power
+
+    monkeypatch.setattr(gauss, "_power_walk", counting)
+    rng = random.Random(5000)
+    dense = CyclotomicSum(
+        {Fraction(k, 5000): rng.choice([-3, -1, 1, 2]) for k in range(5000)})
+    value = eval_numeric(dense, 256)
+    assert 0 < len(points) <= 3 * (math.isqrt(5000 - 1) + 1)
+    assert_within_readout_bound(value, dense, 256)
 
 
 @settings(max_examples=100, deadline=None)
