@@ -296,8 +296,10 @@ def cmd_homology(args):
 def cmd_linking_form(args):
     matrix, lens = _matrix_or_preset(args)
     form, gens = (lens.form, None) if lens else linking_form_with_generators(matrix)
-    q_entries = [[f"{x.numerator}/{x.denominator}" for x in row]
-                 for row in form.q_mod1()]
+    # the "num/den" strings of form.q_mod1(), with no Fraction made
+    m = form.modulus
+    q_entries = [[f"{k // g}/{m // g}" for k in (x % m for x in row)
+                  for g in (gcd(k, m),)] for row in form.gram]
     doc = {
         "command": "linking-form",
         "input": matrix,

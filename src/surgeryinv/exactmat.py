@@ -14,7 +14,6 @@ Gauss-sum code.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 DEFAULT_TERM_BUDGET = 10**7
 
@@ -113,6 +112,8 @@ def rat_inverse(a):
     Raises ValueError on singular input.  a * rat_inverse(a) is the
     identity exactly.
     """
+    from fractions import Fraction
+
     n, c = shape(a)
     if n != c:
         raise ValueError("inverse of a non-square matrix")

@@ -25,16 +25,18 @@ e^{- pi i t(u) (K x Q) u} with K = C + t(C); the even diagonal of K is
 exactly what makes each term independent of the representative choice.
 
 Both that sum and the lattice sums of the reciprocity identity go through
-one engine over a finite quadratic module: cyclic generators with their
-orders, an integer Gram matrix and a modulus, read off the linking form
-of the manifold or of the lattice sum's modulus matrix.  A sum is defined
-only when each term depends only on the group element; a sum whose terms
-depend on the fixed representatives (possible only for an odd summand
-matrix over an odd modulus matrix) is refused with ValueError.  The
-module then splits orthogonally into p-primary blocks and the phase
-histogram over T^n is the cyclic convolution of the block histograms,
-whose steps cost at most the product of the key counts of the blocks so
-far times the next block's.  No block is enumerated.  A block's key is a
+one engine, which takes the linking form of the manifold or of the lattice
+sum's modulus matrix as homology builds it: cyclic generators with their
+orders and integer Gram numerators over the group's exponent e.  The key
+t(u)(K x gram)u is read over 2e, the phase key/2e being half of
+t(u)(K x Q)u, and no rational is formed.  A sum is defined only when each
+term depends only on the group element; a sum whose terms depend on the
+fixed representatives (possible only for an odd summand matrix over an
+odd modulus matrix) is refused with ValueError.  The group then splits
+orthogonally into p-primary blocks and the phase histogram over T^n is
+the cyclic convolution of the block histograms, whose steps cost at most
+the product of the key counts of the blocks so far times the next
+block's.  No block is enumerated.  A block's key is a
 quadratic form on T_p^n; symmetric elimination over Z/p^m (p^m the
 p-part of the modulus) splits it into Jordan summands of rank 1, and for
 p = 2 also of rank 2 (Wall; Conway-Sloane, SPLAG ch. 15).  Each rank-1
@@ -56,7 +58,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, is_symmetric
-from .homology import _torsion_module
+from .homology import LinkingForm, _torsion_module
 from .surgery import coupling_to_even
 
 
@@ -339,34 +341,19 @@ def _check_budget(radix, ncopies, budget):
         )
 
 
-class _QuadraticModule(namedtuple("_QuadraticModule", "factors gram modulus")):
-    """Finite abelian group on cyclic generators, with an integer pairing.
-
-    Generator a has order factors[a]; an element is a coordinate vector u
-    with 0 <= u_a < factors[a].  Two elements pair to t(u) gram v read
-    modulo `modulus`.
-    """
-
-    __slots__ = ()
-
-    @property
-    def order(self):
-        return math.prod(self.factors)
-
-
-def _key_is_well_defined(coeff, module):
-    """Whether t(u)(coeff x gram)u mod modulus is a function on the group.
+def _key_is_well_defined(coeff, form, modulus):
+    """Whether t(u)(coeff x gram)u mod modulus is a function on the group
+    of the form, modulus being the engine's key modulus.
 
     Moving u_i by factors[a] along generator a changes the key by
     2 sum_j coeff_ij factors[a] (gram u_j)_a + coeff_ii factors[a]^2 gram_aa,
     so the key is well defined exactly when both kinds of term vanish mod
     modulus for every i, j, a (with gram symmetric mod modulus).  The first
     kind vanishes whenever the pairing is well defined on the group; the
-    second whenever coeff has an even diagonal, or the module's own
+    second whenever coeff has an even diagonal, or the form's own
     quadratic function is well defined, as it is for an even modulus matrix.
     """
-    m = module.modulus
-    f, g = module.factors, module.gram
+    m, f, g = modulus, form.factors, form.gram
     t = len(f)
     c_all = math.gcd(*(x for row in coeff for x in row))
     c_diag = math.gcd(*(coeff[i][i] for i in range(len(coeff))))
@@ -404,26 +391,28 @@ def _coprime_parts(x, ncopies, budget):
     return parts
 
 
-def _primary_blocks(module, ncopies, budget):
-    """Orthogonal blocks of the module as pairs (p, block), one per pair
+def _primary_blocks(form, modulus, ncopies, budget):
+    """Orthogonal blocks of the form as pairs (p, block), one per pair
     (p, q) of _coprime_parts of its exponent: q is the block's exponent and
     p its prime, None for a leftover that the budget check refuses.
 
     A generator g of order f = d * e, with d = gcd(f, q), gives the block
-    generator e * g of order d; its Gram entries scale by e.
+    generator e * g of order d; its Gram entries scale by e and are reduced
+    mod the key modulus.  Each block is a LinkingForm over the form's own
+    modulus.
     """
-    parts = _coprime_parts(math.lcm(*module.factors), ncopies, budget)
+    parts = _coprime_parts(math.lcm(*form.factors), ncopies, budget)
     if len(parts) == 1:
-        return [(parts[0][0], module)]
+        return [(parts[0][0], form)]
     blocks = []
     for p, q in parts:
-        gens = [(a, f // math.gcd(f, q)) for a, f in enumerate(module.factors)
+        gens = [(a, f // math.gcd(f, q)) for a, f in enumerate(form.factors)
                 if math.gcd(f, q) > 1]
-        blocks.append((p, _QuadraticModule(
-            tuple(module.factors[a] // e for a, e in gens),
-            tuple(tuple(ea * eb * module.gram[a][b] % module.modulus
+        blocks.append((p, LinkingForm(
+            tuple(form.factors[a] // e for a, e in gens),
+            tuple(tuple(ea * eb * form.gram[a][b] % modulus
                         for b, eb in gens) for a, ea in gens),
-            module.modulus,
+            form.modulus,
         )))
     return blocks
 
@@ -593,9 +582,9 @@ def _square_classes(p, m):
     return label, reps
 
 
-def _jordan_counts(coeff, block, p):
-    """Histogram of the key of a p-primary block, p the prime that
-    _primary_blocks paired it with, from its Jordan form, without
+def _jordan_counts(coeff, block, p, modulus):
+    """Histogram of the key of a p-primary block over the key modulus, p the
+    prime that _primary_blocks paired it with, from its Jordan form, without
     enumerating the block.
 
     The key mod p^m (p^m the p-part of the modulus) is a quadratic form in
@@ -611,7 +600,7 @@ def _jordan_counts(coeff, block, p):
     and expanded over Z/p^m.  The result goes back over the modulus by the
     Chinese remainder theorem, with no zero count stored.
     """
-    modulus, g = block.modulus, block.gram
+    g = block.gram
     m = _valuation(modulus, p, modulus.bit_length())
     big = p**m
     exps = [_valuation(f, p, f.bit_length()) for f in block.factors]
@@ -643,17 +632,16 @@ def _jordan_counts(coeff, block, p):
     return {k * lift % modulus: c // p**-shift for k, c in total.items()}
 
 
-def _key_bound(coeff, block):
+def _key_bound(coeff, block, modulus):
     """Upper bound on the distinct keys of a block's histogram.
 
     Every key is an integer combination of products coeff_ij * gram_ab, so
     it lies in the subgroup of Z/modulus generated by their gcd; and there
     are no more keys than summands.
     """
-    m = block.modulus
     c = math.gcd(*(x for row in coeff for x in row))
     g = math.gcd(*(x for row in block.gram for x in row))
-    return min(block.order ** len(coeff), m // math.gcd(m, c * g))
+    return min(block.order ** len(coeff), modulus // math.gcd(modulus, c * g))
 
 
 def _check_convolution(bounds, modulus, budget):
@@ -685,9 +673,10 @@ def _convolve(a, b, modulus):
     return out
 
 
-def _gauss_sum(coeff, module, sign, budget):
-    """Sum of e^{2 pi i sign key / modulus}, key = t(u)(coeff x gram)u,
-    over u in the box of the module to the power n = len(coeff).
+def _gauss_sum(coeff, form, sign, budget):
+    """Sum of e^{2 pi i sign key / (2 modulus)}, key = t(u)(coeff x gram)u,
+    over u in the box of the linking form to the power n = len(coeff): the
+    sum of e^{sign pi i t(u)(coeff x Q)u}.
 
     The key must be a function on the group; a key that depends on the
     fixed representatives raises ValueError, before any budget check.  The
@@ -710,20 +699,22 @@ def _gauss_sum(coeff, module, sign, budget):
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
-    if n == 0 or module.order == 1:
+    if n == 0 or form.order == 1:
         _check_budget(1, 1, budget)
         return CyclotomicSum._from_counts({0: 1}, 1)
-    if not _key_is_well_defined(coeff, module):
+    # a key over twice the form's modulus is half the form's value
+    modulus = 2 * form.modulus
+    if not _key_is_well_defined(coeff, form, modulus):
         raise ValueError("the summands depend on the choice of coset representatives")
-    blocks = _primary_blocks(module, n, budget)
+    blocks = _primary_blocks(form, modulus, n, budget)
     for _, block in blocks:
         _check_budget(block.order, n, budget)
-    _check_convolution([_key_bound(coeff, b) for _, b in blocks], module.modulus, budget)
+    _check_convolution([_key_bound(coeff, b, modulus) for _, b in blocks], modulus, budget)
     counts = None
     for p, block in blocks:
-        part = _jordan_counts(coeff, block, p)
-        counts = part if counts is None else _convolve(counts, part, module.modulus)
-    s = CyclotomicSum._from_counts(counts, module.modulus)
+        part = _jordan_counts(coeff, block, p, modulus)
+        counts = part if counts is None else _convolve(counts, part, modulus)
+    s = CyclotomicSum._from_counts(counts, modulus)
     return conjugate(s) if sign < 0 else s
 
 
@@ -743,19 +734,7 @@ def partition_function(c, manifold, budget=None):
     their phase histograms, not |T|^n.
     """
     # exponent carries a global minus sign
-    return _gauss_sum(coupling_to_even(c), _form_module(manifold.form), -1, budget)
-
-
-def _form_module(form):
-    """The quadratic module of a linking form: Gram numerators over twice
-    their common denominator, so that a key over the modulus is half the
-    form's value."""
-    denom = math.lcm(*(x.denominator for row in form.q for x in row))
-    return _QuadraticModule(
-        form.factors,
-        tuple(tuple(int(x * denom) for x in row) for row in form.q),
-        2 * denom,
-    )
+    return _gauss_sum(coupling_to_even(c), manifold.form, -1, budget)
 
 
 def _nonsingular_torsion_module(k0):
@@ -787,7 +766,7 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     """Sum of e^{sign * pi i t(x) (l x inverse(k0)) x} over (Z^s/k0 Z^s)^m.
 
     l is any symmetric m x m integer matrix; k0 is a nonsingular symmetric
-    s x s integer matrix defining the quotient.  The module summed over is
+    s x s integer matrix defining the quotient.  The form summed over is
     the linking form of k0, as in partition_function.  The sum is defined
     when every term depends only on its class in the quotient: always
     when l or k0 has an even diagonal, and for an odd pair only when
@@ -803,4 +782,4 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     form, _ = _nonsingular_torsion_module(k0)
-    return _gauss_sum(l, _form_module(form), sign, budget)
+    return _gauss_sum(l, form, sign, budget)

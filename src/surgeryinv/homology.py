@@ -10,7 +10,6 @@ with no matrix inverse (see linking_form_with_generators).
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactmat import _rank, _smith, is_symmetric
 
@@ -59,13 +58,14 @@ class HomologySummary(namedtuple("HomologySummary", "b1 torsion h0 h1 h2 h3")):
     __slots__ = ()
 
 
-class LinkingForm(namedtuple("LinkingForm", "factors q")):
+class LinkingForm(namedtuple("LinkingForm", "factors gram modulus")):
     """Symmetric bilinear form on the torsion group, valued in Q/Z.
 
-    q holds exact rationals that are only reduced into [0,1) at comparison
-    time, keeping intermediate arithmetic sign-transparent.  Entry q[i][j]
-    is the pairing of the i-th and j-th cyclic generators; factors[i] times
-    any entry of row i is an integer.
+    Generator i has order factors[i], and the i-th and j-th generators pair
+    to q[i][j] = gram[i][j] / modulus mod 1.  gram holds integer numerators,
+    reduced only when read, and modulus is the group's exponent (1 for the
+    trivial group); factors[i] times any entry of row i is a multiple of
+    modulus.  q and q_mod1 are exact Fraction views of gram.
     """
 
     __slots__ = ()
@@ -78,9 +78,18 @@ class LinkingForm(namedtuple("LinkingForm", "factors q")):
     def order(self):
         return math.prod(self.factors)
 
+    @property
+    def q(self):
+        from fractions import Fraction
+
+        m = self.modulus
+        return tuple(tuple(Fraction(x, m) for x in row) for row in self.gram)
+
     def q_mod1(self):
-        return tuple(tuple(x - (x.numerator // x.denominator) for x in row)
-                     for row in self.q)
+        from fractions import Fraction
+
+        m = self.modulus
+        return tuple(tuple(Fraction(x % m, m) for x in row) for row in self.gram)
 
 
 def first_homology(l):
@@ -120,12 +129,12 @@ def _torsion_module(l):
         if any(x % d[k][k] for x in image):
             raise AssertionError("Smith form failed to give an integer generator")
         gens.append(tuple(x // d[k][k] for x in image))
-    q = tuple(
-        tuple(Fraction(sum(x * v[i][m] for i, x in enumerate(g)), d[m][m])
-              for m in cols)
+    e = d[cols[-1]][cols[-1]] if cols else 1
+    gram = tuple(
+        tuple(sum(x * v[i][m] for i, x in enumerate(g)) * (e // d[m][m]) for m in cols)
         for g in gens
     )
-    form = LinkingForm(tuple(d[k][k] for k in cols), q)
+    form = LinkingForm(tuple(d[k][k] for k in cols), gram, e)
     _check_form(form)
     return r, form, tuple(gens)
 
@@ -139,7 +148,9 @@ def linking_form_with_generators(l):
     d_k: x lies in l Z^n exactly when u x lies in d Z^n.  The form pairs
     g_j with g_k as t(g_j) * y / d_k for any y with l y = d_k g_k, read
     modulo 1.  Neither inverse is formed: l v = inverse(u) d gives
-    g_k = l v e_k / d_k, an exact division, and y = v e_k.
+    g_k = l v e_k / d_k, an exact division, and y = v e_k.  The pairing is
+    held as the integer t(g_j) v e_k (e / d_k) over the exponent e, the
+    largest d_k, and no rational is formed either.
 
     The pairing holds for singular l too.  Two choices of y differ by a
     vector w of ker l, and every torsion class pairs to 0 with ker l:
@@ -159,15 +170,16 @@ def linking_form(l):
 
 
 def _check_form(form):
+    m, g = form.modulus, form.gram
     # well-definedness on the group: p_i * q[i][j] and p_j * q[i][j] in Z
     for i, p in enumerate(form.factors):
         for j in range(form.rank):
             for mult in (p, form.factors[j]):
-                if (mult * form.q[i][j]).denominator != 1:
+                if mult * g[i][j] % m:
                     raise AssertionError("linking form not defined on the group")
     for i in range(form.rank):
         for j in range(form.rank):
-            if (form.q[i][j] - form.q[j][i]).denominator != 1:
+            if (g[i][j] - g[j][i]) % m:
                 raise AssertionError("linking form not symmetric mod 1")
 
 
@@ -247,5 +259,5 @@ def lens_presentation(p, q):
         prev, det = det, row[i] * det - (row[i - 1] ** 2 if i else 0) * prev
     if abs(det) != p:
         raise AssertionError("surgery chain has the wrong torsion group")
-    form = LinkingForm((p,), ((Fraction(-q, p),),)) if p > 1 else LinkingForm((), ())
+    form = LinkingForm((p,), ((-q,),), p) if p > 1 else LinkingForm((), (), 1)
     return ManifoldPresentation(chain, _summary(0, TorsionGroup(form.factors)), form)

@@ -22,7 +22,7 @@ and det M0 has the sign (-1)^((rank - sigma) / 2).  No block is split off.
 from collections import namedtuple
 
 from .exactmat import is_even_symmetric, is_symmetric, mat_neg, signature
-from .gauss import ComplexValue, _form_module, _gauss_sum, eval_numeric
+from .gauss import ComplexValue, _gauss_sum, eval_numeric
 from .homology import presentation
 
 
@@ -85,8 +85,8 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     det_l0 = (-1) ** ((r - sigma_l) // 2) * man_l.torsion.order
     det_k0 = (-1) ** ((s - sigma_k) // 2) * man_k.torsion.order
 
-    lhs_sum = _gauss_sum(l, _form_module(man_k.form), +1, budget)
-    rhs_sum = _gauss_sum(k, _form_module(man_l.form), -1, budget)
+    lhs_sum = _gauss_sum(l, man_k.form, +1, budget)
+    rhs_sum = _gauss_sum(k, man_l.form, -1, budget)
 
     from mpmath import mp
 

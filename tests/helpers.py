@@ -68,6 +68,7 @@ def brute_radical_terms(k, form):
 
     n = len(k)
     t = form.rank
+    q = form.q
     elements = list(itertools.product(*(range(p) for p in form.factors)))
     total = len(elements) ** n
 
@@ -76,7 +77,7 @@ def brute_radical_terms(k, form):
         for i in range(n):
             for a in range(t):
                 val = sum(
-                    k[i][j] * form.q[a][b] * flat[j * t + b]
+                    k[i][j] * q[a][b] * flat[j * t + b]
                     for j in range(n) for b in range(t)
                 )
                 if phase_mod1(val) != 0:
@@ -115,24 +116,25 @@ def quadratic_phase(k, form, u):
     from surgeryinv.gauss import phase_mod1
 
     n, t = len(k), form.rank
+    q = form.q
     total = Fraction(0)
     for i in range(n):
         for j in range(n):
             if k[i][j]:
                 total += k[i][j] * sum(
-                    u[i * t + a] * form.q[a][b] * u[j * t + b]
+                    u[i * t + a] * q[a][b] * u[j * t + b]
                     for a in range(t) for b in range(t)
                 )
     return phase_mod1(-total / 2)
 
 
-def block_counts(coeff, module):
-    """Histogram key -> count of t(u)(coeff x gram)u mod modulus over the
-    whole box of a gauss._QuadraticModule to the power len(coeff), summand
-    by summand: the oracle for the engine's Jordan-form counts.  One copy
-    needs only each representative's pairing with itself; more copies take
-    the table of all pairings, |T|^2 entries."""
-    factors, g, modulus = module.factors, module.gram, module.modulus
+def block_counts(coeff, form):
+    """Histogram key -> count of t(u)(coeff x gram)u mod 2 modulus, the
+    engine's key modulus, over the whole box of a LinkingForm to the power
+    len(coeff), summand by summand: the oracle for the engine's Jordan-form
+    counts.  One copy needs only each representative's pairing with itself;
+    more copies take the table of all pairings, |T|^2 entries."""
+    factors, g, modulus = form.factors, form.gram, 2 * form.modulus
     t, n = len(factors), len(coeff)
     reps = list(itertools.product(*(range(p) for p in factors)))
 

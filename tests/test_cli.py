@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from surgeryinv import cli
@@ -21,7 +22,8 @@ from surgeryinv.cli import (
     parse_matrix,
 )
 from surgeryinv.gauss import CyclotomicSum
-from helpers import rand_symmetric
+from surgeryinv.homology import lens_presentation, linking_form
+from helpers import rand_symmetric, symmetric_matrices
 
 
 def write(tmp_path, name, matrix):
@@ -134,6 +136,33 @@ def test_linking_form_of_a_singular_matrix_prints_generators_in_its_coordinates(
 
     assert in_image([10 * x for x in g])
     assert not in_image([2 * x for x in g]) and not in_image([5 * x for x in g])
+
+
+@st.composite
+def lens_presets(draw):
+    p = draw(st.integers(1, 60))
+    q = draw(st.integers(-2 * p, 2 * p).filter(lambda q: math.gcd(p, q) == 1))
+    return f"lens:{p},{q}"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(symmetric_matrices(singular=True) | symmetric_matrices() | lens_presets())
+@example(((2, 0), (0, 2)))  # off-diagonal entries 0/1
+@example("lens:7,2")  # the gram entry -2
+def test_linking_form_prints_q_mod1_of_integers_over_the_exponent(tmp_path, capsys, arg):
+    if isinstance(arg, str):
+        form = lens_presentation(*map(int, arg[5:].split(","))).form
+    else:
+        form, arg = linking_form(arg), write(tmp_path, "m.txt", arg)
+    q = form.q
+    assert form.modulus == math.lcm(*form.factors)
+    assert form.modulus == math.lcm(*(x.denominator for row in q for x in row))
+    assert form.q_mod1() == tuple(tuple(x % 1 for x in row) for row in q)
+    code, out, _ = run_cli(capsys, ["linking-form", arg, "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["q_mod1"] == [[f"{x.numerator}/{x.denominator}" for x in row]
+                                         for row in form.q_mod1()]
 
 
 def test_a_lens_preset_is_the_pinned_presentation_in_every_slot(capsys):
@@ -502,7 +531,7 @@ def run(argv):
 kernel, partition = json.loads(sys.argv[1])
 codes = [run(argv)[0] for argv in kernel]
 loaded = [name for name in ("mpmath", "surgeryinv.gauss", "surgeryinv.reciprocity",
-                            "dataclasses") if name in sys.modules]
+                            "dataclasses", "fractions") if name in sys.modules]
 pinned = run(partition)
 from surgeryinv import gauss
 print(json.dumps({

@@ -1,3 +1,4 @@
+import fractions
 import importlib.util
 import os
 import random
@@ -308,7 +309,7 @@ def test_signature_makes_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("signature made a Fraction")
 
-    monkeypatch.setattr(exactmat, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     assert signature(a) == 3
     assert signature(mat_neg(a)) == -3
 

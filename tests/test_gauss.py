@@ -45,8 +45,8 @@ from helpers import (
 )
 
 
-Z2_HALF = LinkingForm((2,), ((Fraction(1, 2),),))
-Z2_MINUS_HALF = LinkingForm((2,), ((Fraction(-1, 2),),))
+Z2_HALF = LinkingForm((2,), ((1,),), 2)
+Z2_MINUS_HALF = LinkingForm((2,), ((-1,),), 2)
 K_EXAMPLE = ((2, 1), (1, 4))
 
 
@@ -389,15 +389,15 @@ def engine_sum(counts, modulus, flip):
     return conjugate(s) if flip else s
 
 
-def enumerated_sum(coeff, module, sign):
-    """The oracle: the whole box of the module enumerated as one block."""
-    return engine_sum(block_counts(coeff, module), module.modulus, sign < 0)
+def enumerated_sum(coeff, form, sign):
+    """The oracle: the whole box of the form enumerated as one block."""
+    return engine_sum(block_counts(coeff, form), 2 * form.modulus, sign < 0)
 
 
 def enumerated_lattice_sum(l, k0, sign):
     """The oracle for gauss_sum_over_lattice(l, k0, sign)."""
     form = gauss._nonsingular_torsion_module(k0)[0]
-    return enumerated_sum(l, gauss._form_module(form), sign)
+    return enumerated_sum(l, form, sign)
 
 
 def is_prime_power(x):
@@ -444,7 +444,7 @@ def test_split_partition_function_equals_one_block(case, data):
         tuple(data.draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(n)
     )
     split, radices = enumerated_blocks(partition_function, c, man)
-    whole = enumerated_sum(coupling_to_even(c), gauss._form_module(man.form), -1)
+    whole = enumerated_sum(coupling_to_even(c), man.form, -1)
     assert split == whole
     order = math.prod(factors)
     assert len(radices) >= 2 and math.prod(radices) == order
@@ -892,12 +892,13 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     link, order, k, l, sign = case
     man = presentation(link)
     assert man.form.order == order
-    module = gauss._form_module(man.form)
+    form = man.form
+    modulus = 2 * form.modulus  # the engine's key modulus
     n = len(k)
     # every prime block takes the Jordan path and counts what enumerating it counts
-    for p, block in gauss._primary_blocks(module, n, 10**7):
-        assert gauss._jordan_counts(k, block, p) == block_counts(k, block)
-    assert partition_function(upper_coupling(k), man) == enumerated_sum(k, module, -1)
+    for p, block in gauss._primary_blocks(form, modulus, n, 10**7):
+        assert gauss._jordan_counts(k, block, p, modulus) == block_counts(k, block)
+    assert partition_function(upper_coupling(k), man) == enumerated_sum(k, form, -1)
     # the lattice sum over the linking matrix as modulus matrix, l odd or
     # even; an odd l whose terms depend on the representatives is refused
     if representatives_matter(l, link):

@@ -108,12 +108,23 @@ def test_linking_form_well_defined_and_symmetric():
         n = rng.randint(1, 4)
         l = rand_symmetric(rng, n, -5, 5)
         form = linking_form(l)
+        q = form.q
         for i, p in enumerate(form.factors):
             for j in range(form.rank):
-                assert (p * form.q[i][j]).denominator == 1
-                assert (form.factors[j] * form.q[i][j]).denominator == 1
+                assert (p * q[i][j]).denominator == 1
+                assert (form.factors[j] * q[i][j]).denominator == 1
         q1 = form.q_mod1()
         assert q1 == tuple(tuple(row) for row in zip(*q1))
+
+
+def test_check_form_refuses_a_form_off_the_group_or_asymmetric():
+    homology._check_form(LinkingForm((2, 4), ((2, 2), (2, 3)), 4))
+    # 4 * 1/8 is not an integer: no pairing on Z_4
+    with pytest.raises(AssertionError, match="not defined on the group"):
+        homology._check_form(LinkingForm((4,), ((1,),), 8))
+    # q[0][1] = 1/2 and q[1][0] = 0 differ mod 1
+    with pytest.raises(AssertionError, match="not symmetric mod 1"):
+        homology._check_form(LinkingForm((2, 2), ((1, 1), (0, 1)), 2))
 
 
 def test_linking_form_nondegenerate_brute_force():
@@ -126,12 +137,13 @@ def test_linking_form_nondegenerate_brute_force():
         if form.order == 1 or form.order > 1000:
             continue
         checked += 1
+        q = form.q
         boxes = [range(p) for p in form.factors]
         for u in itertools.product(*boxes):
             if all(x == 0 for x in u):
                 continue
             pairings = [
-                sum(u[i] * form.q[i][j] for i in range(form.rank)) % 1
+                sum(u[i] * q[i][j] for i in range(form.rank)) % 1
                 for j in range(form.rank)
             ]
             assert any(x != 0 for x in pairings), (l, u)
@@ -238,14 +250,15 @@ def test_lens_presentation_takes_no_smith_form(monkeypatch):
     assert len(man.matrix) == 1999
     assert man.b1 == 0 and man.torsion == TorsionGroup((2000,))
     assert man.homology.h1 == Group(0, (2000,))
-    assert man.form == LinkingForm((2000,), ((Fraction(-1999, 2000),),))
+    assert man.form == LinkingForm((2000,), ((-1999,),), 2000)
 
 
 def reference_form(l):
-    """The form as built from inverses: generators are the columns of
-    inverse(u) for the Smith form d = u l v, and Q = t(g) X g with
-    X = p diag(inverse(a0), 0) t(p) from the block decomposition
-    t(p) l p = diag(a0, 0), a pseudo-inverse of l on its image."""
+    """The form as built from inverses, as ((factors, Q), generators):
+    generators are the columns of inverse(u) for the Smith form d = u l v,
+    and Q = t(g) X g, a matrix of Fractions, with X = p diag(inverse(a0), 0)
+    t(p) from the block decomposition t(p) l p = diag(a0, 0), a
+    pseudo-inverse of l on its image."""
     n = len(l)
     snf = smith_normal_form(l)
     u_inv = int_inverse(snf.u)
@@ -261,13 +274,13 @@ def reference_form(l):
               for h in gens)
         for g in gens
     )
-    return LinkingForm(tuple(snf.d[k][k] for k in cols), q), gens
+    return (tuple(snf.d[k][k] for k in cols), q), gens
 
 
 def reference_lattice_sum(l, k0, sign):
     """The lattice sum on the reference generators, paired by the adjugate
     of k0 modulo 2|det k0|, with the determinant's sign folded in."""
-    form, gens = reference_form(k0)
+    (factors, _), gens = reference_form(k0)
     det = det_int(k0)
     s = len(k0)
     adj = [[int(x * det) for x in row] for row in rat_inverse(k0)]
@@ -276,8 +289,8 @@ def reference_lattice_sum(l, k0, sign):
               % (2 * abs(det)) for h in gens)
         for g in gens
     )
-    module = gauss._QuadraticModule(form.factors, gram, 2 * abs(det))
-    return gauss._gauss_sum(l, module, sign * (1 if det > 0 else -1), None)
+    form = LinkingForm(factors, gram, abs(det))
+    return gauss._gauss_sum(l, form, sign * (1 if det > 0 else -1), None)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -286,7 +299,7 @@ def test_inverse_free_form_equals_the_reference(l, data):
     form, gens = linking_form_with_generators(l)
     ref_form, ref_gens = reference_form(l)
     assert gens == ref_gens
-    assert form == ref_form
+    assert (form.factors, form.q) == ref_form
     assert all(type(x) is Fraction for row in form.q for x in row)
     assert presentation(l).homology == full_homology(l)
     if det_int(l) != 0 and form.order <= 60:
@@ -308,7 +321,12 @@ def test_partition_of_a_singular_matrix_sums_over_the_reference_form(l, data):
     size = data.draw(st.integers(1, 2))
     c = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(size))
               for _ in range(size))
-    ref_form, _ = reference_form(l)
+    (factors, q), _ = reference_form(l)
+    # the reference Q as integer numerators over the lcm of its reduced
+    # denominators, the engine modulus the partition function must keep
+    denom = math.lcm(*(x.denominator for row in q for x in row))
+    ref_form = LinkingForm(factors, tuple(tuple(int(x * denom) for x in row) for row in q),
+                           denom)
     ref = ManifoldPresentation(l, full_homology(l), ref_form)
     got, want = partition_function(c, presentation(l)), partition_function(c, ref)
     assert got == want

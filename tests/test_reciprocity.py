@@ -78,10 +78,10 @@ def test_one_pass_per_matrix_equals_the_split_off_blocks(l, k):
     # block_decompose, take det_int(a0), and sum over Z^r / a0 Z^r
     budget = 20_000
     for a, b, sign in ((l, k, +1), (k, l, -1)):
-        module = gauss._form_module(presentation(b).form)
+        form = presentation(b).form
         a0 = block_decompose(b).a0
         try:
-            got = gauss._gauss_sum(a, module, sign, budget)
+            got = gauss._gauss_sum(a, form, sign, budget)
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
                 gauss_sum_over_lattice(a, a0, sign, budget)
