@@ -324,13 +324,15 @@ def cmd_linking_form(args):
 
 
 def cmd_partition(args):
-    from .gauss import eval_numeric, partition_function
+    from .gauss import _partition_value, partition_function
 
     c = load_matrix(args.coupling)
     matrix, lens = load_manifold(args.manifold)
     man = lens or presentation(matrix)
-    z = partition_function(c, man, budget=_budget(args))
-    value = eval_numeric(z, args.precision)
+    budget = _budget(args)
+    z = partition_function(c, man, budget=budget)
+    # the phase list is the histogram; the value is its closed form
+    value = _partition_value(c, man, budget).components(args.precision)
     n = len(c)
     doc = {
         "command": "partition",

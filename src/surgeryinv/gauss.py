@@ -2,12 +2,20 @@
 
 A phase is a reduced Fraction r in [0,1) standing for e^{2 pi i r}; a
 Gauss sum is a finite multiset of phases with integer multiplicities
-(CyclotomicSum).  Sums are built exactly -- the only place floating point
-appears is eval_numeric, which turns a finished sum into a high-precision
-complex number for cross-formula comparisons.  It writes every phase as
-k/L over the lcm L of the denominators and reads the sum out of one root
-of unity e^{2 pi i/L}: one transcendental call per sum, then exact
-fixed-point integer powers by baby steps and giant steps.  Each residue
+(CyclotomicSum).  Sums are built exactly, and so are their values: every
+sum the engine builds is sqrt(N) e^{2 pi i j/8}, N rational (_Exact),
+the product of closed forms over the Jordan summands of its p-primary
+blocks (_gauss_value; Wall, Kawauchi-Kojima, Deloup).  The partition and
+reciprocity commands print each component of that value correctly
+rounded at the requested precision, from an integer square root, and
+read no sum out numerically.
+
+eval_numeric reads out any CyclotomicSum, hand-built ones included, as a
+high-precision complex number; the tests use it as the closed form's
+oracle.  It writes every phase as k/L over the lcm L of the denominators
+and reads the sum out of one root of unity e^{2 pi i/L}: one
+transcendental call per sum, then exact fixed-point integer powers by
+baby steps and giant steps.  Each residue
 splits as k = hi 2^s + lo with 2^s about sqrt(L), or under a quarter of
 the number of phases when that is smaller; the sum of mult z^lo over each
 hi group is exact, and is multiplied by the giant power z^(hi 2^s), so a
@@ -16,7 +24,7 @@ One final rounding follows.
 Denominators whose lcm exceeds 128 bits are split into groups below that
 size, one root each; an engine sum has L at most twice the exponent of
 its group, so it is one group unless that exponent exceeds 2^127.  mpmath
-is imported by the first readout, not with this module.
+is imported by the first readout or rounding, not with this module.
 
 The partition function of a U(1)^n theory with integer coupling matrix C
 on a manifold with torsion group T and linking form Q is the sum over
@@ -48,7 +56,10 @@ p, about 4m for p = 2), and each convolution of summands is evaluated at
 one representative per class and then expanded over Z/p^m.  A block thus
 costs about |T_p| work rather than |T_p|^n.  The term budget bounds
 |T_p|^n, the number of summands each block stands for, and every
-convolution step of the blocks.
+convolution step of the blocks.  The closed form of a block reads the
+same Jordan summands, each to a Gauss sum of its own, and costs one
+elimination; it runs after the same checks, so it refuses what the
+histogram refuses.
 """
 
 import itertools
@@ -148,6 +159,72 @@ class ComplexValue(namedtuple("ComplexValue", "re im precision")):
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
+
+
+# the sign of cos(pi j/4) for j = 0..7; that of sin(pi j/4) is at j - 2
+_SIGNS = (1, 1, 0, -1, -1, -1, 0, 1)
+
+
+class _Exact(namedtuple("_Exact", "norm eighth")):
+    """The complex number sqrt(norm) e^{2 pi i eighth/8}: norm = |z|^2 a
+    non-negative Fraction, eighth an int in [0, 8), 0 when norm is 0.
+
+    Every sum the engine builds is one (_jordan_value), and so are both
+    sides of the reciprocity identity, so equal values compare ==.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        norm = self.norm * other.norm
+        return _Exact(norm, (self.eighth + other.eighth) % 8 if norm else 0)
+
+    def conjugate(self):
+        return _Exact(self.norm, -self.eighth % 8)
+
+    def components(self, precision):
+        """The ComplexValue with each component correctly rounded, to
+        nearest with ties to even, at `precision` bits.
+
+        A component is 0, or +-sqrt(norm), or +-sqrt(norm/2) when eighth is
+        odd; an exact 0 is 0.  A precision below 1 bit raises ValueError.
+        """
+        if precision < 1:
+            raise ValueError(f"precision must be at least 1 bit, not {precision}")
+        from mpmath import mp
+
+        size = self.norm / 2 if self.eighth % 2 else self.norm
+        parts = []
+        for sign in _SIGNS[self.eighth], _SIGNS[self.eighth - 2]:
+            if sign and size:
+                man, exp = _rounded_sqrt(size, precision)
+                parts.append(mp.mpf((sign * man, exp), prec=precision))
+            else:
+                parts.append(mp.mpf(0))
+        return ComplexValue(*parts, precision)
+
+
+_ONE = _Exact(Fraction(1), 0)
+_ZERO = _Exact(Fraction(0), 0)
+
+
+def _rounded_sqrt(x, precision):
+    """(man, exp) with man 2^exp the square root of the Fraction x > 0
+    rounded to `precision` bits, to nearest with ties to even.
+
+    With exp chosen so that t = floor(sqrt(x) 2^-exp) = isqrt(floor(x
+    4^-exp)) has at least precision + 2 bits, the bits of t below the top
+    precision, and whether t^2 = x 4^-exp exactly, decide the rounding.
+    """
+    a, b = x.numerator, x.denominator
+    exp = (a.bit_length() - b.bit_length()) // 2 - precision - 2
+    num, den = (a << -2 * exp, b) if exp < 0 else (a, b << 2 * exp)
+    t = math.isqrt(num // den)
+    drop = t.bit_length() - precision
+    man, rest, half = t >> drop, t & ((1 << drop) - 1), 1 << (drop - 1)
+    if rest > half or rest == half and (t * t * den != num or man & 1):
+        man += 1
+    return man, exp + drop
 
 
 _ROOT_BITS = 128  # largest lcm of denominators read from one root of unity
@@ -582,23 +659,14 @@ def _square_classes(p, m):
     return label, reps
 
 
-def _jordan_counts(coeff, block, p, modulus):
-    """Histogram of the key of a p-primary block over the key modulus, p the
-    prime that _primary_blocks paired it with, from its Jordan form, without
-    enumerating the block.
+def _block_summands(coeff, block, p, modulus):
+    """The key of a p-primary block mod p^m, p^m the p-part of the key
+    modulus, split into Jordan summands: (m, the block's exponents at p,
+    the summands of _jordan_summands).
 
-    The key mod p^m (p^m the p-part of the modulus) is a quadratic form in
-    the N = len(coeff) * len(factors) coordinates, periodic mod p^e in
-    each, p^e the block's exponent; the rest of the modulus divides every
-    key.  Summed over the uniform box (Z/p^e)^N, which covers the block's
-    box p^(N e - sum of exponents) times, the form splits into Jordan
-    summands (_jordan_summands) whose histograms (_summand_counts)
-    convolve.  Scaling u by a unit lambda multiplies every key by lambda^2,
-    so each histogram is a function of the class of its key under unit
-    squares (_square_classes), and so is each convolution: it is evaluated
-    at one representative per class, O(classes x summand keys) products,
-    and expanded over Z/p^m.  The result goes back over the modulus by the
-    Chinese remainder theorem, with no zero count stored.
+    The key is a quadratic form in the N = len(coeff) * len(factors)
+    coordinates, periodic mod p^e in each, p^e the block's exponent; the
+    rest of the modulus divides every key.
     """
     g = block.gram
     m = _valuation(modulus, p, modulus.bit_length())
@@ -607,9 +675,29 @@ def _jordan_counts(coeff, block, p, modulus):
     t = len(exps)
     form = [[coeff[i][j] * g[a][b] % big for j in range(len(coeff)) for b in range(t)]
             for i in range(len(coeff)) for a in range(t)]
+    return m, exps, _jordan_summands(form, p, m)
+
+
+def _jordan_counts(coeff, block, p, modulus):
+    """Histogram of the key of a p-primary block over the key modulus, p the
+    prime that _primary_blocks paired it with, from its Jordan form, without
+    enumerating the block.
+
+    Summed over the uniform box (Z/p^e)^N, which covers the block's box
+    p^(N e - sum of exponents) times, the key (_block_summands) splits into
+    Jordan summands whose histograms (_summand_counts) convolve.  Scaling u
+    by a unit lambda multiplies every key by lambda^2, so each histogram is
+    a function of the class of its key under unit squares
+    (_square_classes), and so is each convolution: it is evaluated at one
+    representative per class, O(classes x summand keys) products, and
+    expanded over Z/p^m.  The result goes back over the modulus by the
+    Chinese remainder theorem, with no zero count stored.
+    """
+    m, exps, summands = _block_summands(coeff, block, p, modulus)
+    big = p**m
     shift = len(coeff) * sum(exps)  # log_p of the block's box over the summands' boxes
     parts = []
-    for v, entries in _jordan_summands(form, p, m):
+    for v, entries in summands:
         counts, h = _summand_counts(v, entries, p, m, max(exps))
         shift -= h if len(entries) == 1 else 2 * h
         parts.append(counts)
@@ -630,6 +718,53 @@ def _jordan_counts(coeff, block, p, modulus):
     if shift >= 0:
         return {k * lift % modulus: c * p**shift for k, c in total.items()}
     return {k * lift % modulus: c // p**-shift for k, c in total.items()}
+
+
+def _jordan_value(coeff, block, p, modulus):
+    """The sum of e^{2 pi i key / modulus} over a p-primary block, as an
+    _Exact, from the Jordan summands of its key (_block_summands) in
+    closed form: no histogram and no enumeration.
+
+    The block's box holds p^(n sum of exponents) elements and the key is an
+    orthogonal sum of its summands, so the sum is that count times the mean
+    of each summand's term over its period (Wall; Kawauchi-Kojima; Deloup,
+    Trans. AMS 351 (1999)).  The CRT unit w = (modulus / p^m)^-1 mod p^m
+    turns the key k into the phase w k / p^m.  A rank-1 summand
+    p^v c x^2 of level L = m - v has the mean G(a; p^L) / p^L, a = w c, of
+    the quadratic Gauss sum G(a; p^L) over x mod p^L (Berndt-Evans-Williams,
+    ch. 1):
+      odd p: p^(L/2) for L even, and p^((L-1)/2) (a/p) eps sqrt(p) for L
+        odd, eps = 1 for p = 1 mod 4 and i for p = 3 mod 4;
+      p = 2: 0 for L = 1, and (1 + i^a) 2^(L/2) (2/a)^L for L >= 2.
+    A rank-2 summand at p = 2 (_summand_counts) is 2^(v+1) x y or
+    2^(v+1) (x^2 + x y + y^2) with its phase depending on (x, y) mod 2^k,
+    k = L - 1; its sum over (Z/2^k)^2 is 2^k or (-2)^k, whatever the unit,
+    so its mean is 2^-k or (-2)^-k.
+    """
+    m, exps, summands = _block_summands(coeff, block, p, modulus)
+    big = p**m
+    unit = pow(modulus // big, -1, big)
+    twice = 2 * len(coeff) * sum(exps)  # log_p of the squared modulus
+    eighth = 0
+    for v, entries in summands:
+        level = m - v
+        if len(entries) > 1:
+            a, b, _, c = (x >> v for x in entries)
+            twice -= 2 * (level - 1)
+            if (a * c - b * b) % 8 != 7 and (level - 1) % 2:
+                eighth += 4
+            continue
+        a = unit * (entries[0] // p**v)
+        if p > 2:
+            twice -= level
+            if level % 2:
+                eighth += (0 if p % 4 == 1 else 2) + (0 if pow(a, (p - 1) // 2, p) == 1 else 4)
+        elif level == 1:
+            return _ZERO
+        else:
+            twice += 1 - level
+            eighth += (1 if a % 4 == 1 else 7) + (4 if level % 2 and a % 8 in (3, 5) else 0)
+    return _Exact(Fraction(p) ** twice, eighth % 8)
 
 
 def _key_bound(coeff, block, modulus):
@@ -673,49 +808,74 @@ def _convolve(a, b, modulus):
     return out
 
 
-def _gauss_sum(coeff, form, sign, budget):
-    """Sum of e^{2 pi i sign key / (2 modulus)}, key = t(u)(coeff x gram)u,
-    over u in the box of the linking form to the power n = len(coeff): the
-    sum of e^{sign pi i t(u)(coeff x Q)u}.
+def _engine_blocks(coeff, form, budget, check=True):
+    """The preamble of both readings of a sum, the histogram (_gauss_sum)
+    and the closed form (_gauss_value): (key modulus, p-primary blocks), no
+    blocks for a sum over the trivial group.
 
     The key must be a function on the group; a key that depends on the
     fixed representatives raises ValueError, before any budget check.  The
-    group is the orthogonal sum of its p-primary blocks (Wall), so the key
-    of u is the sum of the keys of its block components and the histogram
-    over the whole box is the cyclic convolution of the block histograms.
-    No block is enumerated: each block's histogram comes from the Jordan
-    form of its key (_jordan_counts), at a cost of about |T_p| per block
-    rather than |T_p|^n: the elimination on an N x N matrix, N = n times
-    the block's rank; p^h values for each rank-1 summand of level h <= e,
-    p^e the block's exponent; one product per summand key and class of
-    Z/p^m under unit squares (2m + 1 classes for odd p, about 4m for
-    p = 2) for each convolution of summands; and p^m for each expansion
-    over Z/p^m, p^m the p-part of the modulus.
-
-    The budget bounds |T_p|^n, the number of summands each block stands
-    for, and every convolution step of the blocks, all checked before any
-    block is counted; the work on a block stays within a small multiple of
-    its |T_p|^n.
+    budget bounds |T_p|^n, the number of summands each block stands for,
+    and every convolution step of the blocks; check=False leaves out those
+    checks, for a sum that has already passed them.
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if n == 0 or form.order == 1:
-        _check_budget(1, 1, budget)
-        return CyclotomicSum._from_counts({0: 1}, 1)
+        if check:
+            _check_budget(1, 1, budget)
+        return 1, []
     # a key over twice the form's modulus is half the form's value
     modulus = 2 * form.modulus
     if not _key_is_well_defined(coeff, form, modulus):
         raise ValueError("the summands depend on the choice of coset representatives")
     blocks = _primary_blocks(form, modulus, n, budget)
-    for _, block in blocks:
-        _check_budget(block.order, n, budget)
-    _check_convolution([_key_bound(coeff, b, modulus) for _, b in blocks], modulus, budget)
-    counts = None
-    for p, block in blocks:
+    if check:
+        for _, block in blocks:
+            _check_budget(block.order, n, budget)
+        _check_convolution([_key_bound(coeff, b, modulus) for _, b in blocks],
+                           modulus, budget)
+    return modulus, blocks
+
+
+def _gauss_sum(coeff, form, sign, budget):
+    """Sum of e^{2 pi i sign key / (2 modulus)}, key = t(u)(coeff x gram)u,
+    over u in the box of the linking form to the power n = len(coeff): the
+    sum of e^{sign pi i t(u)(coeff x Q)u}, as its phase histogram.
+
+    The group is the orthogonal sum of its p-primary blocks (Wall), so the
+    key of u is the sum of the keys of its block components and the
+    histogram over the whole box is the cyclic convolution of the block
+    histograms (_engine_blocks splits and checks them).  No block is
+    enumerated: each block's histogram comes from the Jordan form of its
+    key (_jordan_counts), at a cost of about |T_p| per block rather than
+    |T_p|^n: the elimination on an N x N matrix, N = n times the block's
+    rank; p^h values for each rank-1 summand of level h <= e, p^e the
+    block's exponent; one product per summand key and class of Z/p^m under
+    unit squares (2m + 1 classes for odd p, about 4m for p = 2) for each
+    convolution of summands; and p^m for each expansion over Z/p^m, p^m the
+    p-part of the modulus.  The work on a block stays within a small
+    multiple of its |T_p|^n.
+    """
+    modulus, blocks = _engine_blocks(coeff, form, budget)
+    counts = {0: 1}
+    for i, (p, block) in enumerate(blocks):
         part = _jordan_counts(coeff, block, p, modulus)
-        counts = part if counts is None else _convolve(counts, part, modulus)
+        counts = _convolve(counts, part, modulus) if i else part
     s = CyclotomicSum._from_counts(counts, modulus)
     return conjugate(s) if sign < 0 else s
+
+
+def _gauss_value(coeff, form, sign, budget, check=True):
+    """The exact value of _gauss_sum(coeff, form, sign, budget), as an
+    _Exact: the product of the blocks' closed forms (_jordan_value), with
+    the same preamble (_engine_blocks), so the same refusals, and no
+    histogram.  It costs one elimination per block."""
+    modulus, blocks = _engine_blocks(coeff, form, budget, check)
+    value = _ONE
+    for p, block in blocks:
+        value = value * _jordan_value(coeff, block, p, modulus)
+    return value.conjugate() if sign < 0 else value
 
 
 def partition_function(c, manifold, budget=None):
@@ -735,6 +895,13 @@ def partition_function(c, manifold, budget=None):
     """
     # exponent carries a global minus sign
     return _gauss_sum(coupling_to_even(c), manifold.form, -1, budget)
+
+
+def _partition_value(c, manifold, budget):
+    """The exact value of partition_function(c, manifold, budget), read from
+    the closed form, for a sum that partition_function has already held to
+    the budget: its checks are not made a second time."""
+    return _gauss_value(coupling_to_even(c), manifold.form, -1, budget, check=False)
 
 
 def _nonsingular_torsion_module(k0):

@@ -20,16 +20,17 @@ and det M0 has the sign (-1)^((rank - sigma) / 2).  No block is split off.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 
 from .exactmat import is_even_symmetric, is_symmetric, mat_neg, signature
-from .gauss import ComplexValue, _gauss_sum, eval_numeric
+from .gauss import _Exact, _gauss_value
 from .homology import presentation
 
 
 class ReciprocityReport(namedtuple(
         "ReciprocityReport",
         "lhs rhs abs_diff sigma_k sigma_l det_k0 det_l0 m n r s l_even precision")):
-    """Numeric evaluation of both sides of the reciprocity identity.
+    """Both sides of the reciprocity identity, correctly rounded.
 
     lhs and rhs are ComplexValues and abs_diff an mpmath number, all at
     `precision` bits; the signatures and determinants are exact ints.
@@ -69,9 +70,14 @@ def reciprocity_sides(l, k, precision=128, budget=None):
 
     l is any symmetric integer matrix, k an even symmetric one.  One Smith
     form of each gives its rank and the |det| of its nonsingular block, and
-    its signature the sign of that determinant.  Both stay exact; only the
-    final scalar combination (inverse square roots of determinants and the
-    eighth root of unity) is floating point, at `precision` bits.
+    its signature the sign of that determinant.  Each Gauss sum is read
+    exactly from the closed form of its Jordan summands (gauss._gauss_value)
+    as sqrt(N) e^{2 pi i j/8}, N rational, and so is each side: the
+    determinant powers multiply N and e^{i pi sigma(K) sigma(L)/4} adds
+    sigma(K) sigma(L) to j.  Each component of lhs and rhs is the exact
+    side's, correctly rounded at `precision` bits, and abs_diff is
+    |lhs - rhs| of those components at `precision` bits: exactly 0 when the
+    sides are equal.
     """
     if not is_symmetric(l):
         raise ValueError("linking matrix must be symmetric")
@@ -85,22 +91,17 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     det_l0 = (-1) ** ((r - sigma_l) // 2) * man_l.torsion.order
     det_k0 = (-1) ** ((s - sigma_k) // 2) * man_k.torsion.order
 
-    lhs_sum = _gauss_sum(l, man_k.form, +1, budget)
-    rhs_sum = _gauss_sum(k, man_l.form, -1, budget)
+    # |det K0|^-(m - r/2) and |det L0|^-(n - s/2), squared, over the sums
+    lhs = _gauss_value(l, man_k.form, +1, budget) * _Exact(
+        Fraction(man_k.torsion.order) ** (r - 2 * m), 0)
+    rhs = _gauss_value(k, man_l.form, -1, budget) * _Exact(
+        Fraction(man_l.torsion.order) ** (s - 2 * n), sigma_k * sigma_l % 8)
+    lhs_val, rhs_val = lhs.components(precision), rhs.components(precision)
 
     from mpmath import mp
 
     with mp.workprec(precision):
-        lv = eval_numeric(lhs_sum, precision)
-        rv = eval_numeric(rhs_sum, precision)
-        lhs_scale = mp.power(abs(det_k0), -(mp.mpf(m) - mp.mpf(r) / 2))
-        rhs_scale = mp.power(abs(det_l0), -(mp.mpf(n) - mp.mpf(s) / 2))
-        phase = mp.expjpi(mp.mpf(sigma_k * sigma_l) / 4)
-        lhs = mp.mpc(lv.re, lv.im) * lhs_scale
-        rhs = mp.mpc(rv.re, rv.im) * rhs_scale * phase
-        diff = +abs(lhs - rhs)
-        lhs_val = ComplexValue(+lhs.real, +lhs.imag, precision)
-        rhs_val = ComplexValue(+rhs.real, +rhs.imag, precision)
+        diff = +abs(mp.mpc(lhs_val.re, lhs_val.im) - mp.mpc(rhs_val.re, rhs_val.im))
 
     return ReciprocityReport(
         lhs=lhs_val,

@@ -22,7 +22,7 @@ from surgeryinv.cli import (
     parse_matrix,
 )
 from surgeryinv.gauss import CyclotomicSum
-from surgeryinv.homology import lens_presentation, linking_form
+from surgeryinv.homology import lens_presentation, linking_form, presentation
 from helpers import rand_symmetric, symmetric_matrices
 
 
@@ -394,50 +394,51 @@ def test_console_entry_point(tmp_path):
 
 
 # sha256 of stdout.  The entries were recorded before the changes their
-# comments name, which left every byte alone.  The baby-step/giant-step
-# readout forms different truncated products, so every entry but 9 and 10
-# was re-pinned with it: only digits below the readout's proven bound
-# moved (the noise digits of components that are exactly 0), and
-# CANONICAL below holds every other byte as recorded before it
+# comments name, which left every byte alone.  Every entry was re-pinned
+# when partition and reciprocity began to print each component correctly
+# rounded from the closed form of the sum: only digits within the numeric
+# readout's proven bound moved (noise digits of components that are
+# exactly 0 became 0, and 0.999... became 1.0), and CANONICAL below holds
+# every other byte as recorded before it
 HIDDEN_4_12_12 = ((16, 20, 0), (20, 40, -12), (0, -12, 12))  # t(g) diag(4, 12, 12) g
 K_10799 = ((4, 0, -9, 10), (0, -16, 3, 9), (-9, 3, 2, -1), (10, 9, -1, -20))
 SINGULAR_ODD_L = ((2, 2, 0), (2, 2, 0), (0, 0, 5))
 GOLDEN = [
     (["partition", "--json"], ((1, 2), (0, 3)), "lens:2000,3",
-     "42eb526618c39350a7480f32d078e842d478c970a5c740be764e84c8721ebd3e"),
+     "469f3e5248ee2e13e37d98ed2392666691e53cd720c812bdbf89405751221ba4"),
     (["partition", "--json"], ((1, 0, 2, 0), (1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 3)),
-     "lens:16,5", "6c586627e34e7d76f29ad1c46884307c4f91215ad50a973e91f92eec9e158501"),
+     "lens:16,5", "b8c82f6653c489bcb836204f404c7de56670343347e06c571369cedb9c15af61"),
     (["partition", "--json"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
-     "eeda639c2a16dd07d10f2dc7f4992dc786f10c08e9207febf4a29090cf4bd5e6"),
+     "287a2c060f49cbe011d7efaed4dcc2b26a62158ac57cceb49563eee468673e50"),
     (["partition", "--json"], ((2, 1), (0, 1)), HIDDEN_4_12_12,
-     "4b2083cc885d8ae0d3aa96f177e8af44c1e45779e063f7fd4436713fd764b6b2"),
+     "14c5313cfed80c7da64b2d2d5ad3a42c6e11deefd429e2305a9af57cf379e90e"),
     # even pairs with cokernels Z_419 and Z_431, then Z_1999 and Z_2011
     (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 210)), ((2, 1), (1, 216)),
-     "1dd93d1ee58be262904878d88032242b758e38701f8d67b4df2f2c8251e13bae"),
+     "c6915940b233ec2bc2596846074a997ab42f69f441b0b480dea54a6f2265ae64"),
     (["reciprocity", "--json", "--precision", "256"], ((2, 1), (1, 1000)), ((-2, 1), (1, -1006)),
-     "9df37784dd4bee8a641c443c2bd305e4a6ecc0b63fc77dc782f8c0ad419323d1"),
+     "b99f5a4a6ab2f397b54c46ffb162aa293f557eb42d068aac73c6aa7cd7b120b8"),
     # recorded before the three-multiplication readout: l = (4) against an
     # even 4x4 k with cokernel Z_10799 (5,445 distinct phases), then the
     # dual theory, coupling (-2) from `dual` on the manifold k (5,400)
     (["reciprocity", "--json", "--precision", "256"], ((4,),), K_10799,
-     "a34adb93b9f67ee730ed4c3a8cb11c05187b4af3ac04231202dd8a5d7bf7ca03"),
+     "3366231255c5e2a6e90a38c68aefd2cc41c9415cea000f0e5c789cbb5190ffc0"),
     (["partition", "--json"], ((-2,),), K_10799,
-     "e6c9110e138134233cf3dee102c851fa0d1889ec6f6f661b9e0d1f99c800b329"),
+     "37632a2494c388264c039f621f1b33612c9d7555bcd6bae840636aa6cd4cd49a"),
     # recorded while reciprocity still split off the nonsingular blocks:
     # a singular odd l against a nonsingular k, then singular even l and k,
     # then singular odd l against singular k
     (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((2, 1), (1, 2)),
-     "e11ddc983c1a65151be844dc499f56b01bbc0f82032a5c3b0a725e44f81f84af"),
+     "62f5205e5a9084b2de97bf6515c05b0ac5a40e155642c32566eea107dc4ff6f5"),
     (["reciprocity", "--json", "--precision", "256"], ((2, -2), (-2, 2)), ((0, 0), (0, 4)),
-     "45f3cc1c034559ec5a78266c5e1ecbfda74fad25c05f66ed2aed2b74a320ff7c"),
+     "123d415b857ca89e8807cbb7660c303cdcbd0242070cdbff7c05282b4fdd15e3"),
     (["reciprocity", "--json", "--precision", "256"], SINGULAR_ODD_L, ((0, 0), (0, 4)),
-     "79ba73213078355b532e64f234802d4a4c918c691ef3dcb96476e77ba0e62c57"),
+     "4e7874fb632e70911a5025deb845995e016776f25baaa90f41fd5d2e87e80e13"),
     # text mode, recorded while its phase lines were read from the JSON
     # document's phase list
     (["partition"], ((-2,),), K_10799,
-     "92a1d14653ac1373f7db7524a7cf6a4020e9afe4e7f0bea3dbb306fa998efe5e"),
+     "48eea6ec729d1f55c762e9aeeae55386a15e0adff35fd74a6b6f771f02c115a2"),
     (["partition"], ((1, 2, 0), (0, 1, 3), (1, 0, 2)), "lens:100,7",
-     "cf9e31042099fd37d9b2caef988661df6a2119603b586015fcec230d597fde38"),
+     "b759d4d8f768d04ef53073e8bc3c0e5f81d987a2fdfe784120b98728c2c9615f"),
 ]
 
 
@@ -499,6 +500,92 @@ def test_output_bytes_outside_the_readout_are_pinned(tmp_path, capsys, entry, di
     out = run_golden(tmp_path, capsys, argv, a, b)
     assert out != without_readout(argv, out)
     assert hashlib.sha256(without_readout(argv, out).encode()).hexdigest() == digest
+
+
+def test_partition_and_reciprocity_read_no_sum_out_numerically(tmp_path, capsys, monkeypatch):
+    # every GOLDEN value comes from the closed form of its sum, so the
+    # numeric readout of a CyclotomicSum stays off the CLI path
+    from surgeryinv import gauss
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum was read out numerically")
+
+    for name in ("eval_numeric", "_root_read"):
+        original = getattr(gauss, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("surgeryinv")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    for argv, a, b, digest in GOLDEN:
+        out = run_golden(tmp_path, capsys, argv, a, b)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_an_exact_zero_component_prints_as_zero(tmp_path, capsys):
+    # the value is 7 + 0i; the numeric readout printed noise for the 0
+    from mpmath import mp
+
+    c = write(tmp_path, "c.txt", ((1, 1), (0, 1)))
+    code, out, _ = run_cli(capsys, ["partition", "--json", "--coupling", c,
+                                    "--manifold", "lens:7,2"])
+    assert code == EXIT_OK
+    value = json.loads(out)["value"]
+    assert value == {"re": cli._num_str(mp.mpf(7), 128), "im": cli._num_str(mp.mpf(0), 128)}
+    assert value["im"] == "0.0"
+
+
+def mpmath_rounded(x, precision):
+    """The mpmath number x, computed at twice `precision`, as the CLI prints
+    it once rounded to `precision` bits."""
+    from mpmath import mp
+
+    with mp.workprec(precision):
+        return cli._num_str(+x, precision)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=range(len(GOLDEN)))
+def test_printed_components_are_mpmath_at_twice_the_precision_rounded(tmp_path, capsys,
+                                                                      entry):
+    # the exact values from the closed form of each sum, with the scalars
+    # of the identity applied by mpmath at twice the precision
+    from mpmath import mp
+
+    from surgeryinv import gauss
+    from surgeryinv.exactmat import signature
+
+    argv, a, b, _ = entry
+    out = run_golden(tmp_path, capsys, argv, a, b)
+    precision = int(argv[argv.index("--precision") + 1]) if "--precision" in argv else 128
+
+    def rounded(value, scale, eighth):
+        with mp.workprec(2 * precision):
+            z = (mp.sqrt(mp.mpf(value.norm.numerator) / value.norm.denominator) * scale
+                 * mp.expjpi(mp.mpf(value.eighth + eighth) / 4))
+        return {"re": mpmath_rounded(z.real, precision),
+                "im": mpmath_rounded(z.imag, precision)}
+
+    if argv[0] == "partition":
+        matrix, lens = cli.load_manifold(b) if isinstance(b, str) else (b, None)
+        value = gauss._partition_value(a, lens or presentation(matrix), None)
+        want = {"value": rounded(value, 1, 0)}
+    else:
+        man_l, man_k = presentation(a), presentation(b)
+        m, n = len(a), len(b)
+        r, s = m - man_l.b1, n - man_k.b1
+        with mp.workprec(2 * precision):
+            lhs_scale = mp.power(man_k.torsion.order, -(mp.mpf(m) - mp.mpf(r) / 2))
+            rhs_scale = mp.power(man_l.torsion.order, -(mp.mpf(n) - mp.mpf(s) / 2))
+        want = {
+            "lhs": rounded(gauss._gauss_value(a, man_k.form, +1, None), lhs_scale, 0),
+            "rhs": rounded(gauss._gauss_value(b, man_l.form, -1, None), rhs_scale,
+                           signature(a) * signature(b)),
+        }
+    if "--json" in argv:
+        doc = json.loads(out)
+        assert {field: doc[field] for field in want} == want
+        if argv[0] == "reciprocity":
+            assert doc["lhs"] == doc["rhs"] and doc["abs_diff"] == "0.0"
+    else:
+        assert f"value = {want['value']['re']} + {want['value']['im']} i\n" in out
 
 
 # Every in-process caller shares one parser: these tests check that reusing

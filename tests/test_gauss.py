@@ -3,18 +3,26 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from surgeryinv import gauss
 from surgeryinv.cli import _dumps, _phases_doc
-from surgeryinv.exactmat import det_int, mat_mul, rat_inverse, smith_normal_form, transpose
+from surgeryinv.exactmat import (
+    det_int,
+    mat_mul,
+    rat_inverse,
+    signature,
+    smith_normal_form,
+    transpose,
+)
 from surgeryinv.gauss import (
     BudgetExceededError,
     CyclotomicSum,
@@ -42,6 +50,7 @@ from helpers import (
     reference_eval_numeric,
     representatives_matter,
     root_groups,
+    symmetric_matrices,
 )
 
 
@@ -1024,3 +1033,159 @@ def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, fl
         a, b = eval_numeric(got, 128), eval_numeric(want, 128)
         assert (a.re, a.im) == (b.re, b.im)
         assert conjugate(got) == s
+
+
+# The closed form: gauss._gauss_value reads every engine sum as
+# sqrt(N) e^{2 pi i j/8} from the Jordan summands of its blocks, with the
+# histogram engine and eval_numeric as its oracle
+
+
+def closed_form_kinds(coeff, link, sign, value):
+    """What the closed form of a sum had to handle, by name."""
+    man = presentation(link)
+    modulus = 2 * man.form.modulus
+    kinds = {"sign -1"} if sign < 0 else set()
+    blocks = gauss._primary_blocks(man.form, modulus, len(coeff), 10**9)
+    if len(blocks) > 1:
+        kinds.add("multi-prime")
+    for p, block in blocks:
+        m, _, summands = gauss._block_summands(coeff, block, p, modulus)
+        for v, entries in summands:
+            if len(entries) > 1:
+                a, b, _, c = (x >> v for x in entries)
+                kinds.add("2-adic x y" if (a * c - b * b) % 8 == 7 else "2-adic x^2 + x y + y^2")
+            elif p == 2 and m - v == 1:
+                kinds.add("2-adic level 1")
+    if value.norm == 0:
+        kinds.add("0")
+    if man.b1:
+        kinds.add("b1 > 0")
+    if det_int(coeff) == 0:
+        kinds.add("singular coefficient")
+    return kinds
+
+
+def assert_closed_form_reads_the_histogram(coeff, link, sign, budget=20_000):
+    """The closed form refuses what the histogram refuses, alike, and
+    otherwise lies within eval_numeric's proven bound of the histogram's
+    200-bit readout: each component within 1.02 * 2^-200 * max(1, |value|).
+    Returns the closed form, or None for a refused sum."""
+    form = presentation(link).form
+    try:
+        s = gauss._gauss_sum(coeff, form, sign, budget)
+    except (ValueError, BudgetExceededError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            gauss._gauss_value(coeff, form, sign, budget)
+        return None
+    value = gauss._gauss_value(coeff, form, sign, budget)
+    assert value.norm.denominator == 1 and 0 <= value.eighth < 8
+    assert value.norm or value.eighth == 0
+    read = eval_numeric(s, 200)
+    # 400 bits stand in for the exact closed form
+    exact = value.components(400)
+    with mp.workprec(420):
+        size = max(1, mp.sqrt(value.norm.numerator))
+        bound = mp.mpf(1.02) * mp.mpf(2) ** -200 * size + mp.mpf(2) ** -399 * size
+        assert abs(read.re - exact.re) <= bound
+        assert abs(read.im - exact.im) <= bound
+    return value
+
+
+# (linking matrix, coefficient, sign, what the case covers)
+CLOSED_FORM_CASES = [
+    (((2,),), ((2, 2), (2, 2)), 1, {"2-adic level 1", "0", "singular coefficient"}),
+    (((-2,),), ((-2, -3), (-3, 0)), 1, {"2-adic x y"}),
+    (((-2,),), ((-2, 1), (1, 2)), -1, {"2-adic x^2 + x y + y^2", "sign -1"}),
+    (((-2, -2), (-2, 1)), ((2,),), 1, {"multi-prime", "2-adic level 1", "0"}),
+    (((2, 0), (0, 0)), ((1, -1), (-1, 1)), -1, {"b1 > 0", "singular coefficient", "sign -1"}),
+    (((4, 2), (2, 8)), ((1, 3), (3, 0)), 1, {"2-adic x y"}),
+    (((2, 2, 0), (2, 2, 0), (0, 0, 5)), ((2, 1), (1, 2)), -1, {"b1 > 0", "sign -1"}),
+    (((12,),), ((1,),), 1, {"multi-prime"}),
+]
+
+
+@pytest.mark.parametrize("link, coeff, sign, kinds", CLOSED_FORM_CASES,
+                         ids=range(len(CLOSED_FORM_CASES)))
+def test_closed_form_covers_each_kind_of_summand(link, coeff, sign, kinds):
+    value = assert_closed_form_reads_the_histogram(coeff, link, sign)
+    assert kinds <= closed_form_kinds(coeff, link, sign, value)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(linking matrix, coefficient, sign): the Jordan structures above with
+    their even K or their odd or even l, or a singular linking matrix (b1 >
+    0) with a singular or nonsingular, odd or even coefficient."""
+    if draw(st.booleans()):
+        link, _, k, l, sign = draw(jordan_cases())
+        return link, draw(st.sampled_from([k, l])), sign
+    link = draw(symmetric_matrices(4, singular=True))
+    coeff = draw(symmetric_matrices(3, singular=draw(st.booleans()), even=draw(st.booleans())))
+    return link, coeff, draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closed_form_cases())
+def test_closed_form_is_within_the_readout_bound_of_the_histogram(case):
+    link, coeff, sign = case
+    assert_closed_form_reads_the_histogram(coeff, link, sign)
+
+
+def test_closed_form_of_an_even_form_is_milgrams():
+    # sum over T of e^{pi i t(x) L^-1 x} = sqrt|T| e^{2 pi i sigma(L)/8} for a
+    # nondegenerate even L (Milgram), sigma from the exact signature
+    rng = random.Random(2121)
+    done = 0
+    while done < 200:
+        link = rand_even_symmetric(rng, rng.randint(1, 4), -6, 6)
+        order = abs(det_int(link))
+        if order == 0:
+            continue
+        done += 1
+        value = gauss._gauss_value(((1,),), presentation(link).form, +1, None)
+        assert value == gauss._Exact(Fraction(order), signature(link) % 8), link
+
+
+def rounded_by_mpmath(norm, eighth, precision, work):
+    """sqrt(norm) e^{2 pi i eighth/8} evaluated by mpmath at `work` bits,
+    then rounded to `precision` bits."""
+    with mp.workprec(work):
+        z = mp.sqrt(mp.mpf(norm.numerator) / norm.denominator) * mp.expjpi(mp.mpf(eighth) / 4)
+    with mp.workprec(precision):
+        return +z.real, +z.imag
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**300), st.integers(1, 2**80), st.integers(0, 7),
+       st.integers(53, 600))
+@example(4**200 * 9, 1, 0, 128)
+@example((2**128 + 1) ** 2, 1, 4, 128)
+@example(2 * (2**127 + 1) ** 2, 2**254, 1, 128)
+def test_components_are_mpmath_at_twice_the_precision_rounded(num, den, eighth, precision):
+    value = gauss._Exact(Fraction(num, den), eighth if num else 0)
+    got = value.components(precision)
+    assert got.precision == precision
+    assert (got.re, got.im) == rounded_by_mpmath(value.norm, value.eighth, precision,
+                                                 2 * precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**40), st.integers(1, 2**20), st.integers(0, 7), st.integers(1, 24))
+@example(9, 4, 0, 1)    # sqrt = 3/2, halfway between 1 and 2: ties to 2
+@example(25, 4, 0, 2)   # sqrt = 5/2, halfway between 2 and 3: ties to 2
+@example(49, 4, 4, 2)   # sqrt = 7/2, halfway between 3 and 4: ties to -4
+def test_components_are_correctly_rounded_at_any_precision(num, den, eighth, precision):
+    # against mpmath far beyond the rounding point, where rounding twice
+    # cannot differ from rounding once; ties to even included
+    value = gauss._Exact(Fraction(num, den), eighth)
+    got = value.components(precision)
+    assert (got.re, got.im) == rounded_by_mpmath(value.norm, eighth, precision,
+                                                 4 * precision + 64)
+
+
+def test_components_of_zero_and_of_a_precision_below_one_bit():
+    zero = gauss._ZERO.components(128)
+    assert zero.re == 0 and zero.im == 0
+    assert gauss._ONE.components(1) == (1, 0, 1)
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        gauss._ONE.components(0)
