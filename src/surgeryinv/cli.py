@@ -17,6 +17,8 @@ budget exceeded.
 The kernel commands (snf, homology, linking-form, kirby, evenize) load
 only the exact kernel; the Gauss-sum engine and mpmath are imported by
 the commands that read a sum out (partition, reciprocity, dual).
+partition prints the closed form that its one engine pass carries on the
+sum, next to the sum's phases.
 """
 
 import argparse
@@ -140,17 +142,21 @@ def _decimal_places(precision):
 
 
 def _num_str(x, precision):
-    from mpmath import mp
+    """x, an mpf or a pair (man, exp) standing for man 2^exp, rounded to
+    `precision` bits and printed as mp.nstr(+x, _decimal_places(precision))
+    prints it under mp.workprec(precision): by the same mpmath.libmp calls,
+    with no mpf object and no context switch."""
+    from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_str
 
-    with mp.workprec(precision):
-        return mp.nstr(+x, _decimal_places(precision))
+    if isinstance(x, tuple):
+        x = from_man_exp(*x, precision, round_nearest)
+    else:
+        x = mpf_pos(x._mpf_, precision, round_nearest)
+    return to_str(x, _decimal_places(precision))
 
 
-def _value_doc(value):
-    return {
-        "re": _num_str(value.re, value.precision),
-        "im": _num_str(value.im, value.precision),
-    }
+def _value_doc(re, im, precision):
+    return {"re": _num_str(re, precision), "im": _num_str(im, precision)}
 
 
 class _PhaseList:
@@ -324,22 +330,21 @@ def cmd_linking_form(args):
 
 
 def cmd_partition(args):
-    from .gauss import _partition_value, partition_function
+    from .gauss import partition_function
 
     c = load_matrix(args.coupling)
     matrix, lens = load_manifold(args.manifold)
     man = lens or presentation(matrix)
-    budget = _budget(args)
-    z = partition_function(c, man, budget=budget)
-    # the phase list is the histogram; the value is its closed form
-    value = _partition_value(c, man, budget).components(args.precision)
+    z = partition_function(c, man, budget=_budget(args))
+    # the phase list is the histogram; the value is the closed form that
+    # the same engine pass carries on the sum
     n = len(c)
     doc = {
         "command": "partition",
         "coupling": c,
         "manifold": man.matrix,
         "phases": _phases_doc(z),
-        "value": _value_doc(value),
+        "value": _value_doc(*z._value.rounded(args.precision), args.precision),
         "metadata": {
             "b1": man.b1,
             "invariant_factors": man.torsion.factors,
@@ -374,8 +379,8 @@ def cmd_reciprocity(args):
         "command": "reciprocity",
         "l": l,
         "k": k,
-        "lhs": _value_doc(report.lhs),
-        "rhs": _value_doc(report.rhs),
+        "lhs": _value_doc(*report.lhs),
+        "rhs": _value_doc(*report.rhs),
         "abs_diff": _num_str(report.abs_diff, report.precision),
         "sigma_k": report.sigma_k,
         "sigma_l": report.sigma_l,

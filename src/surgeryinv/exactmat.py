@@ -198,8 +198,9 @@ def _smith(a, keep_u, keep_v):
             u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        for r in m:
-            r[dst] += c * r[src]
+        # column dst += c * column src, src the pivot column t, which is 0
+        # in m off the pivot row whenever this runs; v takes the whole column
+        m[src][dst] += c * m[src][src]
         if v is not None:
             for r in v:
                 r[dst] += c * r[src]
@@ -218,13 +219,19 @@ def _smith(a, keep_u, keep_v):
 
     t = 0
     while t < min(rows, cols):
-        # locate the minimal-|entry| pivot in the trailing submatrix
-        best = None
+        # locate the first minimal-|entry| pivot in the trailing submatrix,
+        # row by row; a first +-1 is that entry, and ends the search
+        best, least = None, 0
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[0])
@@ -256,7 +263,9 @@ def _smith(a, keep_u, keep_v):
                 if m[t][j] != 0:
                     add_col(t, j, -(m[t][j] // p))
             # enforce the divisibility chain: fold any non-multiple back
-            # into row t and keep reducing
+            # into row t and keep reducing; +-1 divides every entry
+            if p in (1, -1):
+                break
             bad = next(
                 (i for i in range(t + 1, rows)
                  for j in range(t + 1, cols) if m[i][j] % p != 0),

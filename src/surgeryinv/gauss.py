@@ -5,8 +5,8 @@ Gauss sum is a finite multiset of phases with integer multiplicities
 (CyclotomicSum).  Sums are built exactly, and so are their values: every
 sum the engine builds is sqrt(N) e^{2 pi i j/8}, N rational (_Exact),
 the product of closed forms over the Jordan summands of its p-primary
-blocks (_gauss_value; Wall, Kawauchi-Kojima, Deloup).  The partition and
-reciprocity commands print each component of that value correctly
+blocks (Wall, Kawauchi-Kojima, Deloup), and carries that value.  The
+partition and reciprocity commands print each component of it correctly
 rounded at the requested precision, from an integer square root, and
 read no sum out numerically.
 
@@ -48,7 +48,8 @@ block's.  No block is enumerated.  A block's key is a
 quadratic form on T_p^n; symmetric elimination over Z/p^m (p^m the
 p-part of the modulus) splits it into Jordan summands of rank 1, and for
 p = 2 also of rank 2 (Wall; Conway-Sloane, SPLAG ch. 15).  Each rank-1
-summand is enumerated, at most p^e values for a block of exponent p^e;
+summand is enumerated, at most p^e values for a block of exponent p^e
+(half of them at odd p, where y and -y give one key);
 each rank-2 summand has a closed form with at most 2^e keys.  Scaling u
 by a unit multiplies every key by a unit square, so every histogram is a
 function of its key's class under unit squares (2m + 1 classes for odd
@@ -57,9 +58,12 @@ one representative per class and then expanded over Z/p^m.  A block thus
 costs about |T_p| work rather than |T_p|^n.  The term budget bounds
 |T_p|^n, the number of summands each block stands for, and every
 convolution step of the blocks.  The closed form of a block reads the
-same Jordan summands, each to a Gauss sum of its own, and costs one
-elimination; it runs after the same checks, so it refuses what the
-histogram refuses.
+same Jordan summands, each to a Gauss sum of its own: one elimination per
+block serves both readings, so a sum comes with its histogram and its
+value from one engine pass (_gauss_sum).  The value alone (_gauss_value,
+for the reciprocity identity) takes the same preamble and the same
+elimination and builds no histogram, so it refuses what the histogram
+refuses.
 """
 
 import itertools
@@ -92,7 +96,7 @@ class CyclotomicSum:
     root-of-unity relations is attempted.
     """
 
-    __slots__ = ("_counts", "_modulus")
+    __slots__ = ("_counts", "_modulus", "_value")
 
     def __init__(self, terms=()):
         clean = {}
@@ -106,13 +110,15 @@ class CyclotomicSum:
         self._counts = {p.numerator * (modulus // p.denominator): m
                         for p, m in clean.items()}
         self._modulus = modulus
+        self._value = None
 
     @classmethod
-    def _from_counts(cls, counts, modulus):
+    def _from_counts(cls, counts, modulus, value=None):
         """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], for
-        distinct keys k in [0, modulus) with nonzero counts."""
+        distinct keys k in [0, modulus) with nonzero counts; value is its
+        _Exact value when the engine knows it, else None."""
         s = cls.__new__(cls)
-        s._counts, s._modulus = counts, modulus
+        s._counts, s._modulus, s._value = counts, modulus, value
         return s
 
     def items(self):
@@ -146,9 +152,11 @@ class CyclotomicSum:
 
 
 def conjugate(s):
-    """Complex conjugation: every phase r becomes -r mod 1."""
-    m = s._modulus
-    return CyclotomicSum._from_counts({(m - k) % m: v for k, v in s._counts.items()}, m)
+    """Complex conjugation: every phase r becomes -r mod 1, and a value the
+    engine carries is conjugated with it."""
+    m, value = s._modulus, s._value
+    return CyclotomicSum._from_counts({(m - k) % m: v for k, v in s._counts.items()}, m,
+                                      None if value is None else value.conjugate())
 
 
 class ComplexValue(namedtuple("ComplexValue", "re im precision")):
@@ -182,26 +190,27 @@ class _Exact(namedtuple("_Exact", "norm eighth")):
     def conjugate(self):
         return _Exact(self.norm, -self.eighth % 8)
 
-    def components(self, precision):
-        """The ComplexValue with each component correctly rounded, to
-        nearest with ties to even, at `precision` bits.
+    def rounded(self, precision):
+        """(re, im), each component correctly rounded, to nearest with ties
+        to even, at `precision` bits, as a pair (man, exp) standing for
+        man 2^exp, man signed; an exact 0 has man 0.
 
         A component is 0, or +-sqrt(norm), or +-sqrt(norm/2) when eighth is
-        odd; an exact 0 is 0.  A precision below 1 bit raises ValueError.
+        odd.  A precision below 1 bit raises ValueError.  No mpmath number
+        is made.
         """
         if precision < 1:
             raise ValueError(f"precision must be at least 1 bit, not {precision}")
+        size = self.norm / 2 if self.eighth % 2 else self.norm
+        man, exp = _rounded_sqrt(size, precision) if size else (0, 0)
+        return tuple((sign * man, exp) for sign in (_SIGNS[self.eighth], _SIGNS[self.eighth - 2]))
+
+    def components(self, precision):
+        """The ComplexValue of rounded(precision), as mpmath numbers."""
         from mpmath import mp
 
-        size = self.norm / 2 if self.eighth % 2 else self.norm
-        parts = []
-        for sign in _SIGNS[self.eighth], _SIGNS[self.eighth - 2]:
-            if sign and size:
-                man, exp = _rounded_sqrt(size, precision)
-                parts.append(mp.mpf((sign * man, exp), prec=precision))
-            else:
-                parts.append(mp.mpf(0))
-        return ComplexValue(*parts, precision)
+        re, im = (mp.mpf(x, prec=precision) for x in self.rounded(precision))
+        return ComplexValue(re, im, precision)
 
 
 _ONE = _Exact(Fraction(1), 0)
@@ -548,46 +557,61 @@ def _jordan_summands(s, p, m):
     of basis is unimodular over Z, so it permutes (Z/p^e)^N for every e.
     Returns (v, entries of the pivot block) per summand; what remains when
     every entry is 0 mod p^m adds nothing to the key and is left out.
+
+    Entries are ranked by gcd(entry, p^m) = p^min(valuation, m), which
+    orders them as their valuations do; the first least entry is the
+    pivot, the diagonal winning a tie, so the off-diagonal entries are
+    searched only when no diagonal entry is a unit.  Each row takes one
+    factor per pivot, and a row whose factors are all 0 is left as it is.
     """
     big = p**m
+    gcd = math.gcd
     live = list(range(len(s)))
     out = []
     while live:
-        diag = min(live, key=lambda a: _valuation(s[a][a], p, m))
-        vd = _valuation(s[diag][diag], p, m)
-        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
-        off = min(pairs, key=lambda ab: _valuation(s[ab[0]][ab[1]], p, m), default=None)
-        vo = _valuation(s[off[0]][off[1]], p, m) if off else m
-        v = min(vd, vo)
-        if v >= m:
+        ranks = [gcd(s[a][a], big) for a in live]
+        g = min(ranks)
+        pivots = (live[ranks.index(g)],)
+        if g > 1:
+            pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+            ranks = [gcd(s[a][b], big) for a, b in pairs]
+            if min(ranks, default=g) < g:
+                g = min(ranks)
+                pivots = pairs[ranks.index(g)]
+        if g == big:
             break
-        if vd == v:
-            pivots = (diag,)
-        elif p == 2:
-            pivots = off
-        else:
-            a, b = off
+        if len(pivots) == 2 and p > 2:
+            a, b = pivots
             s[a][a] = (s[a][a] + 2 * s[a][b] + s[b][b]) % big
             for c in live:
                 if c != a:
                     s[a][c] = s[c][a] = (s[a][c] + s[b][c]) % big
             pivots = (a,)
-        q = p**v
-        blk = [[s[a][b] // q for b in pivots] for a in pivots]
-        if len(pivots) == 1:
-            adj, det = ((1,),), blk[0][0]
-        else:
-            (b00, b01), (_, b11) = blk
-            adj, det = ((b11, -b01), (-b01, b00)), b00 * b11 - b01 * b01
-        inv = pow(det, -1, big)
         live = [c for c in live if c not in pivots]
-        for c in live:
-            x = [s[c][a] // q for a in pivots]
-            f = [sum(xi * adj[i][j] for i, xi in enumerate(x)) * inv % big
-                 for j in range(len(pivots))]
-            for d in live:
-                s[c][d] = (s[c][d] - sum(fj * s[a][d] for fj, a in zip(f, pivots))) % big
-        out.append((v, tuple(s[a][b] for a in pivots for b in pivots)))
+        if len(pivots) == 1:
+            (a,) = pivots
+            row_a = s[a]
+            inv = pow(row_a[a] // g, -1, big)
+            for c in live:
+                f = s[c][a] // g * inv % big
+                if f:
+                    row = s[c]
+                    for d in live:
+                        row[d] = (row[d] - f * row_a[d]) % big
+        else:
+            a, b = pivots
+            row_a, row_b = s[a], s[b]
+            b00, b01, b11 = row_a[a] // g, row_a[b] // g, row_b[b] // g
+            inv = pow(b00 * b11 - b01 * b01, -1, big)
+            for c in live:
+                x0, x1 = s[c][a] // g, s[c][b] // g
+                f0 = (x0 * b11 - x1 * b01) * inv % big
+                f1 = (x1 * b00 - x0 * b01) * inv % big
+                if f0 or f1:
+                    row = s[c]
+                    for d in live:
+                        row[d] = (row[d] - (f0 * row_a[d] + f1 * row_b[d])) % big
+        out.append((_valuation(g, p, m), tuple(s[a][b] for a in pivots for b in pivots)))
     return out
 
 
@@ -597,11 +621,15 @@ def _summand_counts(v, entries, p, m, e):
 
     The summand is periodic mod p^(m - v) and, being a summand of a key on
     a group of exponent p^e, mod p^e, so its box of side p^h covers
-    (Z/p^e)^rank evenly.  A rank-1 summand is enumerated: p^h values.  A
-    rank-2 summand 2^v (a x^2 + 2 b x y + c y^2), b odd, a and c even, is
-    over the 2-adic integers 2^(v+1) x y when a c - b^2 = 7 mod 8 and
-    2^(v+1) (x^2 + x y + y^2) when it is 3 mod 8 (Conway-Sloane, SPLAG
-    ch. 15), and its key 2^(v+1) w depends on w mod 2^k, k = m - v - 1 <= h.
+    (Z/p^e)^rank evenly.  A rank-1 summand c y^2 is enumerated.  At odd p,
+    periodicity mod p^e puts every entry of the key's matrix in p^(m-e) Z,
+    so h = m - v, c p^h = 0 mod p^m and y and p^h - y give one key: y runs
+    over [1, (p^h - 1)/2] and each count is doubled.  At p = 2, y runs
+    over all p^h values.  A rank-2 summand 2^v (a x^2 + 2 b x y + c y^2),
+    b odd, a and c even, is over the 2-adic integers 2^(v+1) x y when
+    a c - b^2 = 7 mod 8 and 2^(v+1) (x^2 + x y + y^2) when it is 3 mod 8
+    (Conway-Sloane, SPLAG ch. 15), and its key 2^(v+1) w depends on w mod
+    2^k, k = m - v - 1 <= h.
     Over (Z/2^k)^2, x y takes w of valuation t < k (t + 1) 2^(k-1) times,
     and 0 k 2^(k-1) + 2^k times; x^2 + x y + y^2, whose norm map onto the
     2-adic units is onto, takes w of even valuation 3 2^(k-1) times, w of
@@ -611,7 +639,12 @@ def _summand_counts(v, entries, p, m, e):
     h = min(m - v, e)
     if len(entries) == 1:
         c = entries[0]
-        return Counter(c * y * y % big for y in range(p**h)), h
+        if p == 2:
+            return Counter(c * y * y % big for y in range(1 << h)), h
+        half = Counter(c * y * y % big for y in range(1, (p**h + 1) // 2))
+        counts = {k: 2 * n for k, n in half.items()}
+        counts[0] = counts.get(0, 0) + 1
+        return counts, h
     a, b, _, c = (x >> v for x in entries)
     k = m - v - 1
     lift = 4 ** (h - k)
@@ -661,12 +694,14 @@ def _square_classes(p, m):
 
 def _block_summands(coeff, block, p, modulus):
     """The key of a p-primary block mod p^m, p^m the p-part of the key
-    modulus, split into Jordan summands: (m, the block's exponents at p,
-    the summands of _jordan_summands).
+    modulus, split into Jordan summands: (m, e, box, summands), with p^e
+    the block's exponent, p^box the number of elements of its box to the
+    power n = len(coeff), and the summands of _jordan_summands.
 
-    The key is a quadratic form in the N = len(coeff) * len(factors)
-    coordinates, periodic mod p^e in each, p^e the block's exponent; the
-    rest of the modulus divides every key.
+    The key is a quadratic form in the N = n * len(factors) coordinates,
+    periodic mod p^e in each; the rest of the modulus divides every key.
+    The histogram (_jordan_counts) and the closed form (_jordan_value) of
+    the block both read this one split.
     """
     g = block.gram
     m = _valuation(modulus, p, modulus.bit_length())
@@ -675,30 +710,29 @@ def _block_summands(coeff, block, p, modulus):
     t = len(exps)
     form = [[coeff[i][j] * g[a][b] % big for j in range(len(coeff)) for b in range(t)]
             for i in range(len(coeff)) for a in range(t)]
-    return m, exps, _jordan_summands(form, p, m)
+    return m, max(exps), len(coeff) * sum(exps), _jordan_summands(form, p, m)
 
 
-def _jordan_counts(coeff, block, p, modulus):
-    """Histogram of the key of a p-primary block over the key modulus, p the
-    prime that _primary_blocks paired it with, from its Jordan form, without
-    enumerating the block.
+def _jordan_counts(split, p, modulus, sign):
+    """Histogram of sign times the key of a p-primary block, over the key
+    modulus, from the block's split (_block_summands), p the prime that
+    _primary_blocks paired it with, without enumerating the block.
 
     Summed over the uniform box (Z/p^e)^N, which covers the block's box
-    p^(N e - sum of exponents) times, the key (_block_summands) splits into
-    Jordan summands whose histograms (_summand_counts) convolve.  Scaling u
-    by a unit lambda multiplies every key by lambda^2, so each histogram is
-    a function of the class of its key under unit squares
-    (_square_classes), and so is each convolution: it is evaluated at one
-    representative per class, O(classes x summand keys) products, and
-    expanded over Z/p^m.  The result goes back over the modulus by the
-    Chinese remainder theorem, with no zero count stored.
+    p^(N e - box) times, the key splits into Jordan summands whose
+    histograms (_summand_counts) convolve.  Scaling u by a unit lambda
+    multiplies every key by lambda^2, so each histogram is a function of
+    the class of its key under unit squares (_square_classes), and so is
+    each convolution: it is evaluated at one representative per class,
+    O(classes x summand keys) products, and expanded over Z/p^m.  The
+    result goes back over the modulus by the Chinese remainder theorem,
+    whose lift carries the sign, with no zero count stored.
     """
-    m, exps, summands = _block_summands(coeff, block, p, modulus)
+    m, e, shift, summands = split  # shift: log_p of the block's box over the summands' boxes
     big = p**m
-    shift = len(coeff) * sum(exps)  # log_p of the block's box over the summands' boxes
     parts = []
     for v, entries in summands:
-        counts, h = _summand_counts(v, entries, p, m, max(exps))
+        counts, h = _summand_counts(v, entries, p, m, e)
         shift -= h if len(entries) == 1 else 2 * h
         parts.append(counts)
     parts.sort(key=len, reverse=True)
@@ -714,25 +748,26 @@ def _jordan_counts(coeff, block, p, modulus):
             hist = [at[i] for i in label]
         total = {k: c for k, c in enumerate(hist) if c}
     rest = modulus // big
-    lift = rest * pow(rest, -1, big) % modulus  # 1 mod p^m, 0 mod the rest
+    lift = sign * rest * pow(rest, -1, big) % modulus  # sign mod p^m, 0 mod the rest
     if shift >= 0:
-        return {k * lift % modulus: c * p**shift for k, c in total.items()}
-    return {k * lift % modulus: c // p**-shift for k, c in total.items()}
+        scale = p**shift
+        return {k * lift % modulus: c * scale for k, c in total.items()}
+    scale = p**-shift
+    return {k * lift % modulus: c // scale for k, c in total.items()}
 
 
-def _jordan_value(coeff, block, p, modulus):
+def _jordan_value(split, p, modulus):
     """The sum of e^{2 pi i key / modulus} over a p-primary block, as an
     _Exact, from the Jordan summands of its key (_block_summands) in
     closed form: no histogram and no enumeration.
 
-    The block's box holds p^(n sum of exponents) elements and the key is an
-    orthogonal sum of its summands, so the sum is that count times the mean
-    of each summand's term over its period (Wall; Kawauchi-Kojima; Deloup,
-    Trans. AMS 351 (1999)).  The CRT unit w = (modulus / p^m)^-1 mod p^m
-    turns the key k into the phase w k / p^m.  A rank-1 summand
-    p^v c x^2 of level L = m - v has the mean G(a; p^L) / p^L, a = w c, of
-    the quadratic Gauss sum G(a; p^L) over x mod p^L (Berndt-Evans-Williams,
-    ch. 1):
+    The block's box holds p^box elements and the key is an orthogonal sum
+    of its summands, so the sum is that count times the mean of each
+    summand's term over its period (Wall; Kawauchi-Kojima; Deloup, Trans.
+    AMS 351 (1999)).  The CRT unit w = (modulus / p^m)^-1 mod p^m turns the
+    key k into the phase w k / p^m.  A rank-1 summand p^v c x^2 of level
+    L = m - v has the mean G(a; p^L) / p^L, a = w c, of the quadratic
+    Gauss sum G(a; p^L) over x mod p^L (Berndt-Evans-Williams, ch. 1):
       odd p: p^(L/2) for L even, and p^((L-1)/2) (a/p) eps sqrt(p) for L
         odd, eps = 1 for p = 1 mod 4 and i for p = 3 mod 4;
       p = 2: 0 for L = 1, and (1 + i^a) 2^(L/2) (2/a)^L for L >= 2.
@@ -741,10 +776,10 @@ def _jordan_value(coeff, block, p, modulus):
     k = L - 1; its sum over (Z/2^k)^2 is 2^k or (-2)^k, whatever the unit,
     so its mean is 2^-k or (-2)^-k.
     """
-    m, exps, summands = _block_summands(coeff, block, p, modulus)
+    m, _, box, summands = split
     big = p**m
     unit = pow(modulus // big, -1, big)
-    twice = 2 * len(coeff) * sum(exps)  # log_p of the squared modulus
+    twice = 2 * box  # log_p of the squared modulus
     eighth = 0
     for v, entries in summands:
         level = m - v
@@ -808,73 +843,76 @@ def _convolve(a, b, modulus):
     return out
 
 
-def _engine_blocks(coeff, form, budget, check=True):
-    """The preamble of both readings of a sum, the histogram (_gauss_sum)
-    and the closed form (_gauss_value): (key modulus, p-primary blocks), no
-    blocks for a sum over the trivial group.
+def _engine_blocks(coeff, form, budget):
+    """The preamble of both readings of a sum, the histogram with its value
+    (_gauss_sum) and the value alone (_gauss_value): (key modulus,
+    p-primary blocks), no blocks for a sum over the trivial group.
 
     The key must be a function on the group; a key that depends on the
     fixed representatives raises ValueError, before any budget check.  The
     budget bounds |T_p|^n, the number of summands each block stands for,
-    and every convolution step of the blocks; check=False leaves out those
-    checks, for a sum that has already passed them.
+    and every convolution step of the blocks.
     """
     n = len(coeff)
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if n == 0 or form.order == 1:
-        if check:
-            _check_budget(1, 1, budget)
+        _check_budget(1, 1, budget)
         return 1, []
     # a key over twice the form's modulus is half the form's value
     modulus = 2 * form.modulus
     if not _key_is_well_defined(coeff, form, modulus):
         raise ValueError("the summands depend on the choice of coset representatives")
     blocks = _primary_blocks(form, modulus, n, budget)
-    if check:
-        for _, block in blocks:
-            _check_budget(block.order, n, budget)
-        _check_convolution([_key_bound(coeff, b, modulus) for _, b in blocks],
-                           modulus, budget)
+    for _, block in blocks:
+        _check_budget(block.order, n, budget)
+    _check_convolution([_key_bound(coeff, b, modulus) for _, b in blocks], modulus, budget)
     return modulus, blocks
 
 
 def _gauss_sum(coeff, form, sign, budget):
     """Sum of e^{2 pi i sign key / (2 modulus)}, key = t(u)(coeff x gram)u,
     over u in the box of the linking form to the power n = len(coeff): the
-    sum of e^{sign pi i t(u)(coeff x Q)u}, as its phase histogram.
+    sum of e^{sign pi i t(u)(coeff x Q)u}, as its phase histogram, carrying
+    its exact value (_Exact).
 
     The group is the orthogonal sum of its p-primary blocks (Wall), so the
-    key of u is the sum of the keys of its block components and the
-    histogram over the whole box is the cyclic convolution of the block
-    histograms (_engine_blocks splits and checks them).  No block is
-    enumerated: each block's histogram comes from the Jordan form of its
-    key (_jordan_counts), at a cost of about |T_p| per block rather than
-    |T_p|^n: the elimination on an N x N matrix, N = n times the block's
-    rank; p^h values for each rank-1 summand of level h <= e, p^e the
-    block's exponent; one product per summand key and class of Z/p^m under
-    unit squares (2m + 1 classes for odd p, about 4m for p = 2) for each
-    convolution of summands; and p^m for each expansion over Z/p^m, p^m the
-    p-part of the modulus.  The work on a block stays within a small
-    multiple of its |T_p|^n.
+    key of u is the sum of the keys of its block components, the histogram
+    over the whole box is the cyclic convolution of the block histograms
+    (_engine_blocks splits and checks them), and the value is the product
+    of the block values.  No block is enumerated: each block is split into
+    the Jordan summands of its key once (_block_summands), and both its
+    histogram (_jordan_counts) and its value (_jordan_value) are read from
+    that split, at a cost of about |T_p| per block rather than |T_p|^n:
+    the elimination on an N x N matrix, N = n times the block's rank; p^h
+    values for each rank-1 summand of level h <= e, p^e the block's
+    exponent (half of them at odd p); one product per summand key and
+    class of Z/p^m under unit squares (2m + 1 classes for odd p, about 4m
+    for p = 2) for each convolution of summands; and p^m for each
+    expansion over Z/p^m, p^m the p-part of the modulus.  The work on a
+    block stays within a small multiple of its |T_p|^n.  A sign -1 sum
+    lifts each block's keys by the negated CRT lift and conjugates the
+    value.
     """
     modulus, blocks = _engine_blocks(coeff, form, budget)
-    counts = {0: 1}
+    counts, value = {0: 1}, _ONE
     for i, (p, block) in enumerate(blocks):
-        part = _jordan_counts(coeff, block, p, modulus)
+        split = _block_summands(coeff, block, p, modulus)
+        part = _jordan_counts(split, p, modulus, sign)
         counts = _convolve(counts, part, modulus) if i else part
-    s = CyclotomicSum._from_counts(counts, modulus)
-    return conjugate(s) if sign < 0 else s
+        value = value * _jordan_value(split, p, modulus)
+    return CyclotomicSum._from_counts(counts, modulus,
+                                      value.conjugate() if sign < 0 else value)
 
 
-def _gauss_value(coeff, form, sign, budget, check=True):
+def _gauss_value(coeff, form, sign, budget):
     """The exact value of _gauss_sum(coeff, form, sign, budget), as an
-    _Exact: the product of the blocks' closed forms (_jordan_value), with
-    the same preamble (_engine_blocks), so the same refusals, and no
-    histogram.  It costs one elimination per block."""
-    modulus, blocks = _engine_blocks(coeff, form, budget, check)
+    _Exact, with no histogram: the product of the blocks' closed forms
+    (_jordan_value), after the same preamble (_engine_blocks), so with the
+    same refusals.  It costs one elimination per block."""
+    modulus, blocks = _engine_blocks(coeff, form, budget)
     value = _ONE
     for p, block in blocks:
-        value = value * _jordan_value(coeff, block, p, modulus)
+        value = value * _jordan_value(_block_summands(coeff, block, p, modulus), p, modulus)
     return value.conjugate() if sign < 0 else value
 
 
@@ -895,13 +933,6 @@ def partition_function(c, manifold, budget=None):
     """
     # exponent carries a global minus sign
     return _gauss_sum(coupling_to_even(c), manifold.form, -1, budget)
-
-
-def _partition_value(c, manifold, budget):
-    """The exact value of partition_function(c, manifold, budget), read from
-    the closed form, for a sum that partition_function has already held to
-    the budget: its checks are not made a second time."""
-    return _gauss_value(coupling_to_even(c), manifold.form, -1, budget, check=False)
 
 
 def _nonsingular_torsion_module(k0):

@@ -376,3 +376,141 @@ def reference_eval_numeric(s, precision):
         im += part_im << (width - w)
     with mp.workprec(precision):
         return mp.mpf((re, -width)), mp.mpf((im, -width))
+
+
+def reference_jordan_summands(s, p, m):
+    """gauss._jordan_summands as it split forms before its pivots were
+    ranked by gcd: valuations counted in a loop, the pair search made at
+    every step, and every row updated through its full factor list.  s is
+    overwritten."""
+    from surgeryinv.gauss import _valuation
+
+    big = p**m
+    live = list(range(len(s)))
+    out = []
+    while live:
+        diag = min(live, key=lambda a: _valuation(s[a][a], p, m))
+        vd = _valuation(s[diag][diag], p, m)
+        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+        off = min(pairs, key=lambda ab: _valuation(s[ab[0]][ab[1]], p, m), default=None)
+        vo = _valuation(s[off[0]][off[1]], p, m) if off else m
+        v = min(vd, vo)
+        if v >= m:
+            break
+        if vd == v:
+            pivots = (diag,)
+        elif p == 2:
+            pivots = off
+        else:
+            a, b = off
+            s[a][a] = (s[a][a] + 2 * s[a][b] + s[b][b]) % big
+            for c in live:
+                if c != a:
+                    s[a][c] = s[c][a] = (s[a][c] + s[b][c]) % big
+            pivots = (a,)
+        q = p**v
+        blk = [[s[a][b] // q for b in pivots] for a in pivots]
+        if len(pivots) == 1:
+            adj, det = ((1,),), blk[0][0]
+        else:
+            (b00, b01), (_, b11) = blk
+            adj, det = ((b11, -b01), (-b01, b00)), b00 * b11 - b01 * b01
+        inv = pow(det, -1, big)
+        live = [c for c in live if c not in pivots]
+        for c in live:
+            x = [s[c][a] // q for a in pivots]
+            f = [sum(xi * adj[i][j] for i, xi in enumerate(x)) * inv % big
+                 for j in range(len(pivots))]
+            for d in live:
+                s[c][d] = (s[c][d] - sum(fj * s[a][d] for fj, a in zip(f, pivots))) % big
+        out.append((v, tuple(s[a][b] for a in pivots for b in pivots)))
+    return out
+
+
+def reference_smith(a, keep_u, keep_v):
+    """exactmat._smith as it eliminated before it skipped work: the full
+    pivot scan, the divisibility scan under every pivot, and column
+    operations applied to every row of the working matrix."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) for row in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if keep_v else None
+
+    def add_row(src, dst, c):
+        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+        if u is not None:
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):
+        for r in m:
+            r[dst] += c * r[src]
+        if v is not None:
+            for r in v:
+                r[dst] += c * r[src]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = m[i][j]
+                if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            p = m[t][t]
+            shrunk = False
+            for i in range(t + 1, rows):
+                if m[i][t] % p != 0:
+                    add_row(t, i, -(m[i][t] // p))
+                    swap_rows(t, i)
+                    shrunk = True
+                    break
+            if shrunk:
+                continue
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    add_row(t, i, -(m[i][t] // p))
+            for j in range(t + 1, cols):
+                if m[t][j] % p != 0:
+                    add_col(t, j, -(m[t][j] // p))
+                    swap_cols(t, j)
+                    shrunk = True
+                    break
+            if shrunk:
+                continue
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    add_col(t, j, -(m[t][j] // p))
+            bad = next(
+                (i for i in range(t + 1, rows)
+                 for j in range(t + 1, cols) if m[i][j] % p != 0),
+                None,
+            )
+            if bad is None:
+                break
+            add_row(bad, t, 1)
+        t += 1
+
+    for i in range(min(rows, cols)):
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
+    return m, u, v

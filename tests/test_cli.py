@@ -533,6 +533,20 @@ def test_an_exact_zero_component_prints_as_zero(tmp_path, capsys):
     assert value["im"] == "0.0"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**300, 2**300), st.integers(-400, 400), st.integers(1, 1000))
+def test_num_str_prints_what_mp_nstr_prints(man, exp, precision):
+    # partition passes pairs (man, exp) and reciprocity mpf numbers; both
+    # print as mp.nstr prints the number rounded to `precision` bits
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    x = mp.make_mpf(from_man_exp(man, exp))  # exact, not rounded to mp.prec
+    with mp.workprec(precision):
+        want = mp.nstr(+x, cli._decimal_places(precision))
+    assert cli._num_str((man, exp), precision) == cli._num_str(x, precision) == want
+
+
 def mpmath_rounded(x, precision):
     """The mpmath number x, computed at twice `precision`, as the CLI prints
     it once rounded to `precision` bits."""
@@ -565,7 +579,7 @@ def test_printed_components_are_mpmath_at_twice_the_precision_rounded(tmp_path, 
 
     if argv[0] == "partition":
         matrix, lens = cli.load_manifold(b) if isinstance(b, str) else (b, None)
-        value = gauss._partition_value(a, lens or presentation(matrix), None)
+        value = gauss.partition_function(a, lens or presentation(matrix))._value
         want = {"value": rounded(value, 1, 0)}
     else:
         man_l, man_k = presentation(a), presentation(b)
@@ -649,6 +663,44 @@ def test_kernel_commands_load_no_gauss_sum_code(tmp_path):
     assert got["loaded"] == []
     assert got["partition"] == [EXIT_OK, digest]
     assert got["missing"] == [] and got["one_budget"]
+
+
+# One engine pass per partition: the phase list and the value come from one
+# split of each block
+
+ONE_PASS_PARTITIONS = [entry for entry in GOLDEN if entry[0][0] == "partition"] + [
+    (["partition", "--json"], ((1, 1), (0, 1)), "lens:7,2", None),
+    (["partition", "--json"], ((2, 1), (0, 3)), ((2, 0, 0), (0, 6, 0), (0, 0, 0)), None),
+    (["partition", "--json"], ((1,),), ((12,),), None),
+]
+
+
+def test_partition_splits_each_block_once(tmp_path, capsys, monkeypatch):
+    from surgeryinv import gauss
+
+    calls = {"partition_function": 0, "_engine_blocks": 0, "_block_summands": 0}
+    blocks = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "_engine_blocks":
+                blocks.append(len(result[1]))
+            return result
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gauss, name, counted(name, getattr(gauss, name)))
+    for argv, a, b, digest in ONE_PASS_PARTITIONS:
+        calls.update(dict.fromkeys(calls, 0))
+        blocks.clear()
+        out = run_golden(tmp_path, capsys, argv, a, b)
+        if digest is not None:
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert calls["partition_function"] == calls["_engine_blocks"] == 1
+        assert calls["_block_summands"] == blocks[0]
+    assert blocks == [2]  # the last manifold, Z_12, has a 2-block and a 3-block
 
 
 PUBLIC_NAMES = [

@@ -32,6 +32,7 @@ from helpers import (
     rand_unimodular,
     rank,
     reference_signature,
+    reference_smith,
     zeros,
 )
 
@@ -112,6 +113,29 @@ def test_elimination_without_transforms_matches_the_certified_form(a):
     d, u, v = exactmat._smith(a, False, True)
     assert mat(d) == snf.d and u is None and mat(v) == snf.v
     assert rank(a) == len(snf.invariant_factors())
+
+
+@st.composite
+def smith_inputs(draw):
+    """integer_matrices, or a matrix of small entries and zero rows and
+    columns where most pivots are +-1, up to 7 x 7."""
+    if draw(st.booleans()):
+        return draw(integer_matrices())
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 4, 6, -9, 12])
+    return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(smith_inputs())
+def test_elimination_equals_the_reference_for_every_transform_kept(a):
+    # the pivot search stops at a first +-1, no divisibility scan runs under
+    # a +-1 pivot and column operations touch only the pivot row of the
+    # working matrix: d, u and v stay those of the full elimination
+    for keep_u in (False, True):
+        for keep_v in (False, True):
+            assert exactmat._smith(a, keep_u, keep_v) == reference_smith(a, keep_u, keep_v)
 
 
 def test_snf_congruence_invariance():

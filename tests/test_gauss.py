@@ -48,6 +48,7 @@ from helpers import (
     rand_symmetric,
     rand_unimodular,
     reference_eval_numeric,
+    reference_jordan_summands,
     representatives_matter,
     root_groups,
     symmetric_matrices,
@@ -906,7 +907,8 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     n = len(k)
     # every prime block takes the Jordan path and counts what enumerating it counts
     for p, block in gauss._primary_blocks(form, modulus, n, 10**7):
-        assert gauss._jordan_counts(k, block, p, modulus) == block_counts(k, block)
+        split = gauss._block_summands(k, block, p, modulus)
+        assert gauss._jordan_counts(split, p, modulus, 1) == block_counts(k, block)
     assert partition_function(upper_coupling(k), man) == enumerated_sum(k, form, -1)
     # the lattice sum over the linking matrix as modulus matrix, l odd or
     # even; an odd l whose terms depend on the representatives is refused
@@ -916,6 +918,50 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     else:
         assert gauss_sum_over_lattice(l, link, sign) == enumerated_lattice_sum(l, link, sign)
     assert gauss_sum_over_lattice(k, link, sign) == enumerated_lattice_sum(k, link, sign)
+
+
+@st.composite
+def jordan_forms(draw):
+    """(symmetric matrix mod p^m, p, m): each entry a random residue times
+    p to a drawn power, 0 included, with the diagonal's power sometimes
+    raised above the off-diagonal entries', so that odd p pivots off the
+    diagonal and p = 2 takes rank-2 pivots."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 6))
+    big = p**m
+    lift = draw(st.integers(0, 2))
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = draw(st.integers(0, m)) + (lift if i == j else 0)
+            s[i][j] = s[j][i] = draw(st.integers(0, big - 1)) * p ** min(v, m) % big
+    return s, p, m
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(jordan_forms())
+@example((((0, 1), (1, 0)), 3, 2))      # odd p: an off-diagonal pivot
+@example((((0, 1), (1, 0)), 2, 3))      # p = 2: a rank-2 pivot
+@example((((4, 2), (2, 4)), 2, 3))      # p = 2: x^2 + x y + y^2 at v = 1
+@example((((0, 0), (0, 0)), 5, 2))      # a zero block
+@example((((9, 0), (0, 18)), 3, 2))     # every entry 0 mod p^m
+def test_jordan_summands_equal_the_reference_split(case):
+    s, p, m = case
+    ours = [list(row) for row in s]
+    theirs = [list(row) for row in s]
+    assert gauss._jordan_summands(ours, p, m) == reference_jordan_summands(theirs, p, m)
+    assert ours == theirs  # the same matrix is left behind
+
+
+def test_jordan_reference_cases_reach_every_pivot_kind():
+    # the explicit cases above reach an odd off-diagonal pivot (2 x y =
+    # 2 (x + y/2)^2 - y^2/2 over Z/9, and -1/2 = 4 mod 9), a 2-adic rank-2
+    # pivot and the empty split of a zero block
+    assert gauss._jordan_summands([[0, 1], [1, 0]], 3, 2) == [(0, (2,)), (0, (4,))]
+    assert gauss._jordan_summands([[0, 1], [1, 0]], 2, 3) == [(0, (0, 1, 1, 0))]
+    assert gauss._jordan_summands([[0, 0], [0, 0]], 5, 2) == []
+    assert gauss._jordan_summands([[9, 0], [0, 18]], 3, 2) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -1049,7 +1095,7 @@ def closed_form_kinds(coeff, link, sign, value):
     if len(blocks) > 1:
         kinds.add("multi-prime")
     for p, block in blocks:
-        m, _, summands = gauss._block_summands(coeff, block, p, modulus)
+        m, _, _, summands = gauss._block_summands(coeff, block, p, modulus)
         for v, entries in summands:
             if len(entries) > 1:
                 a, b, _, c = (x >> v for x in entries)
@@ -1129,6 +1175,29 @@ def closed_form_cases(draw):
 def test_closed_form_is_within_the_readout_bound_of_the_histogram(case):
     link, coeff, sign = case
     assert_closed_form_reads_the_histogram(coeff, link, sign)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(jordan_cases())
+def test_engine_sums_carry_their_closed_form(case):
+    # the value read from the same split as the histogram is the closed
+    # form read alone, for both signs; conjugation carries it along
+    link, _, k, l, _ = case
+    man = presentation(link)
+    lattice_form, _ = gauss._nonsingular_torsion_module(link)
+    for coeff in (k, l):
+        for sign in (1, -1):
+            if coeff is l and representatives_matter(l, link):
+                continue
+            s = gauss._gauss_sum(coeff, man.form, sign, None)
+            assert s._value == gauss._gauss_value(coeff, man.form, sign, None)
+            assert conjugate(s)._value == s._value.conjugate()
+            lattice = gauss_sum_over_lattice(coeff, link, sign)
+            assert lattice._value == gauss._gauss_value(coeff, lattice_form, sign, None)
+    z = partition_function(upper_coupling(k), man)
+    assert z._value == gauss._gauss_value(k, man.form, -1, None)
+    hand_built = CyclotomicSum(z.items())
+    assert hand_built == z and hand_built._value is None and conjugate(hand_built)._value is None
 
 
 def test_closed_form_of_an_even_form_is_milgrams():
