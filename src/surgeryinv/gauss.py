@@ -1,30 +1,19 @@
 """Exact Gauss sums and the abelian Chern-Simons partition function.
 
-A phase is a reduced Fraction r in [0,1) standing for e^{2 pi i r}; a
-Gauss sum is a finite multiset of phases with integer multiplicities
-(CyclotomicSum).  Sums are built exactly, and so are their values: every
-sum the engine builds is sqrt(N) e^{2 pi i j/8}, N rational (_Exact),
-the product of closed forms over the Jordan summands of its p-primary
-blocks (Wall, Kawauchi-Kojima, Deloup), and carries that value.  The
-partition and reciprocity commands print each component of it correctly
-rounded at the requested precision, from an integer square root, and
-read no sum out numerically.
+A phase k/M in [0,1), k an integer key over the sum's modulus M, stands
+for e^{2 pi i k/M}; a Gauss sum is a finite multiset of phases with
+integer multiplicities (CyclotomicSum).  Sums are built exactly, and so
+are their values: every sum the engine builds is sqrt(N) e^{2 pi i j/8},
+N rational (_Exact), the product of closed forms over the Jordan summands
+of its p-primary blocks (Wall, Kawauchi-Kojima, Deloup), and carries that
+value.  The partition and reciprocity commands print each component of it
+correctly rounded at the requested precision, from an integer square
+root, and read no sum out numerically.
 
-eval_numeric reads out any CyclotomicSum, hand-built ones included, as a
-high-precision complex number; the tests use it as the closed form's
-oracle.  It writes every phase as k/L over the lcm L of the denominators
-and reads the sum out of one root of unity e^{2 pi i/L}: one
-transcendental call per sum, then exact fixed-point integer powers by
-baby steps and giant steps.  Each residue
-splits as k = hi 2^s + lo with 2^s about sqrt(L), or under a quarter of
-the number of phases when that is smaller; the sum of mult z^lo over each
-hi group is exact, and is multiplied by the giant power z^(hi 2^s), so a
-dense sum costs O(sqrt(L)) big products plus C-level additions per phase.
-One final rounding follows.
-Denominators whose lcm exceeds 128 bits are split into groups below that
-size, one root each; an engine sum has L at most twice the exponent of
-its group, so it is one group unless that exponent exceeds 2^127.  mpmath
-is imported by the first readout or rounding, not with this module.
+eval_numeric returns the value an engine sum carries, rounded, and reads
+a hand-built sum one phase at a time; the tests use that reading as the
+closed form's oracle.  mpmath is imported by the first readout or
+rounding, not with this module.
 
 The partition function of a U(1)^n theory with integer coupling matrix C
 on a manifold with torsion group T and linking form Q is the sum over
@@ -70,7 +59,6 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import mul
 
 from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, is_symmetric
 from .homology import LinkingForm, _torsion_module
@@ -86,14 +74,16 @@ def phase_mod1(x):
 class CyclotomicSum:
     """Finite multiset of phases: the exact value of a sum of roots of unity.
 
-    Terms map a phase r in [0,1) to an integer multiplicity; zero
-    multiplicities are never stored.  Every sum is held as integer keys k
-    over one modulus M, the phase of k being k/M: the engine builds its
-    sums that way, and the public constructor writes its phases over the
-    lcm of their denominators.  Equality is structural (same phases, same
-    multiplicities); value comparisons across differently-built sums go
-    through eval_numeric, since no canonicalization by vanishing
-    root-of-unity relations is attempted.
+    The constructor takes terms mapping a rational phase, reduced mod 1,
+    to an integer multiplicity; zero multiplicities are never stored.
+    Every sum is held as integer keys k over one modulus M, the phase of k
+    being k/M: the engine builds its sums that way, and the public
+    constructor writes its phases over the lcm of their denominators.
+    Equality is structural (same phases, same multiplicities), since no
+    canonicalization by vanishing root-of-unity relations is attempted.
+    A sum the engine builds also carries its exact value, which
+    eval_numeric rounds; a hand-built sum carries none, and eval_numeric
+    reads it numerically.
     """
 
     __slots__ = ("_counts", "_modulus", "_value")
@@ -236,155 +226,42 @@ def _rounded_sqrt(x, precision):
     return man, exp + drop
 
 
-_ROOT_BITS = 128  # largest lcm of denominators read from one root of unity
-
-
 def eval_numeric(s, precision=128):
     """Evaluate a CyclotomicSum as a complex number at `precision` bits.
 
-    With every phase written as k/L over the lcm L of the denominators,
-    the sum is read out of one root of unity z = e^{2 pi i/L}: one expjpi
-    call gives z as fixed-point integers scaled by 2^W, and repeated
-    squaring gives z^(2^j).  Each residue is split as k = hi 2^s + lo.
-    When there are at least 2^ceil(bitlen(L - 1)/2) phases, about sqrt(L),
-    s is that exponent; otherwise most phases have a hi of their own, and s
-    = bitlen(floor(phases/8)) keeps the baby table within a quarter of the
-    phases.  The baby powers z^lo for lo < 2^s, and the giant powers
-    z^(hi 2^s) for the distinct hi only, are walked from the table
-    (_power_walk).  Each hi group sums mult z^lo exactly in Python
-    integers, as it is reached, and is multiplied exactly by its giant
-    power; the products are summed and truncated once.  The cost is
-    O(log L) squarings, 2^s baby products, popcount(gap) giant products
-    per gap between consecutive distinct hi and two products per group:
-    about 2 sqrt(L) big products for a dense sum, plus C-level additions
-    and small multiplications per phase, and at most about bitlen(L)/2
-    products per phase for a sparse one, as walking each phase's own power
-    would cost.  The result is rounded once to `precision` bits.  Every
-    sum the engine builds has one modulus and takes one root, read
-    straight from its sorted keys; phases whose denominators have an lcm
-    of more than 128 bits are split into groups under that size
-    (_root_groups; a larger single denominator forms its own group), one
-    root each, so unrelated denominators cannot inflate L.  A precision
-    below 1 bit raises ValueError.
+    A sum the engine built carries its exact value, and each component is
+    that value correctly rounded (_Exact.components).  A hand-built sum is
+    read one phase at a time: each phase k/L in lowest terms takes one
+    expjpi call, whose components are rounded to integers scaled by 2^W;
+    these are multiplied by the phase's multiplicity and summed exactly,
+    and the sum is rounded once to `precision` bits.  A precision below 1
+    bit raises ValueError.
 
-    Error: write u = 2^-W.  z is rounded to within u and each walked
-    product is truncated to within 2^(1/2) u, so a product of two powers
-    within e1 and e2 of their values is within e1 + e2 + e1 e2 + 2^(1/2) u
-    of its own.  A power is a product tree: z^lo has lo leaves z, and the
-    giant power z^(hi 2^s) has hi 2^s leaves, so a power z^j lies within
-    2.5 j u of e^{2 pi i j/L}.  A group's exact sum of mult z^lo is thus
-    within 2.5 u sum |mult| lo of its value, which is at most sum |mult| in
-    modulus, and its exact product with the giant power is within
-    2.5 u sum |mult| k, k = hi 2^s + lo.  The one truncation adds under u,
-    so each component of a root's integer sum lies within
-    (2.5 sum |mult| k + 1) u <= (2.5 L sum |mult| + 1) u of the exact
-    value.  With W = precision + 2 bitlen(L) + bitlen(phases) +
-    bitlen(sum |mult|) + 8 for each root, the roots together are within
-    2^-(precision+6), and the final rounding adds at most half an ulp:
-    each component is within 1.02 * 2^-precision * max(1, |value|).  A sum
-    with L = 1, 2 or 4, such as the empty sum or {0: 1}, comes out exact.
+    Error of a hand-built sum: write u = 2^-W.  The argument 2k/L and
+    expjpi are computed at W + 10 bits, so each scaled component lies
+    within u of its exact value, and the exact integer sum within
+    u sum |mult|.  With W = precision + bitlen(sum |mult|) + 8 that is
+    under 2^-(precision+8), and the final rounding adds at most half an
+    ulp: each component is within 1.01 * 2^-precision * max(1, |value|).
+    A sum over L = 1, 2 or 4, such as the empty sum or {0: 1}, comes out
+    exact.
     """
     if precision < 1:
         raise ValueError(f"precision must be at least 1 bit, not {precision}")
-    m, counts = s._modulus, s._counts
-    slack = (precision + len(counts).bit_length()
-             + sum(map(abs, counts.values())).bit_length() + 8)
-    keys = sorted(counts)
-    g = math.gcd(m, *keys)
-    if (m // g).bit_length() <= _ROOT_BITS:
-        mults = map(counts.__getitem__, keys)
-        if g > 1:
-            keys = list(map(g.__rfloordiv__, keys))
-        width = slack + 2 * (m // g).bit_length()
-        re, im = _root_read(m // g, keys, mults, width)
-    else:
-        re = im = width = 0
-        for den, res, mults in _root_groups(s, keys):
-            w = slack + 2 * den.bit_length()
-            part_re, part_im = _root_read(den, res, mults, w)
-            if w > width:
-                re, im, width = re << (w - width), im << (w - width), w
-            re += part_re << (width - w)
-            im += part_im << (width - w)
+    if s._value is not None:
+        return s._value.components(precision)
     from mpmath import mp
 
+    items = s._reduced_items()
+    width = precision + sum(abs(mult) for _, _, mult in items).bit_length() + 8
+    re = im = 0
+    with mp.workprec(width + 10):
+        for k, den, mult in items:
+            z = mp.expjpi(mp.mpf(2 * k) / den)
+            re += mult * _fixed(z.real, width)
+            im += mult * _fixed(z.imag, width)
     return ComplexValue(mp.mpf((re, -width), prec=precision),
                         mp.mpf((im, -width), prec=precision), precision)
-
-
-def _root_groups(s, keys):
-    """The phases of s, over a modulus too large for one root, as residues
-    over a few roots: triples (L, residues, mults) in increasing residue k,
-    each phase being k/L.  keys are the sorted keys of s.
-
-    Key k over the modulus M has the phase's denominator M / gcd(k, M).
-    Phases are grouped by increasing denominator while the lcm L of the
-    group stays within _ROOT_BITS bits.
-    """
-    m, counts = s._modulus, s._counts
-    dens = [m // math.gcd(k, m) for k in keys]
-    roots = []
-    group = {}
-    for d in sorted(set(dens)):
-        if roots and math.lcm(roots[-1], d).bit_length() <= _ROOT_BITS:
-            roots[-1] = math.lcm(roots[-1], d)
-        else:
-            roots.append(d)
-        group[d] = len(roots) - 1
-    residues = [([], []) for _ in roots]
-    for k, d in zip(keys, dens):
-        i = group[d]
-        residues[i][0].append(k // (m // d) * (roots[i] // d))
-        residues[i][1].append(counts[k])
-    return [(den, res, mults) for den, (res, mults) in zip(roots, residues)]
-
-
-def _root_read(den, keys, mults, width):
-    """Sum of mult * e^{2 pi i k/den} over the residues k of keys, which
-    increase in [0, den), and the mults beside them, as integers scaled by
-    2^width: the baby-step/giant-step reading of eval_numeric.
-
-    A group is the run of keys with one hi = k >> s.  One dict records
-    where each run ends and one lazy map over all phases gives the terms,
-    so each group is summed as it is reached and no big integer is held
-    per phase.
-    """
-    table = []
-    if den > 1:
-        from mpmath import mp
-
-        with mp.workprec(width + 10):
-            z = mp.expjpi(mp.mpf(2) / den)
-        c, d = _fixed(z.real, width), _fixed(z.imag, width)
-        table.append((c, c + d, d - c))
-        for _ in range((den - 1).bit_length() - 1):
-            c, d = (c * c - d * d) >> width, (2 * c * d) >> width
-            table.append((c, c + d, d - c))
-    s = ((den - 1).bit_length() + 1) // 2
-    if not len(keys) >> s:
-        s = (len(keys) // 8).bit_length()
-    # a baby power is packed as re 2^(3 width) + im, so that one exact sum
-    # carries both parts: x and y sum group times giant real and imaginary
-    # part, and each im part's sum, at most sum |mult| 2^(2 width + 1), is
-    # below 2^(3 width - 1), so it reads back exactly
-    shift = 3 * width
-    baby = [(a << shift) + b for a, b in _power_walk(table, range(1 << s), width)]
-    mask = (1 << s) - 1
-    # each distinct hi = k >> s, increasing, and where its run of keys ends
-    ends = dict(zip(map(s.__rrshift__, keys), range(1, len(keys) + 1)))
-    terms = map(mul, mults, map(baby.__getitem__, map(mask.__and__, keys)))
-    x = y = i = 0
-    for j, (c, d) in zip(ends.values(), _power_walk(table[s:], ends, width)):
-        packed = sum(itertools.islice(terms, j - i))
-        x += packed * c
-        y += packed * d
-        i = j
-    half = 1 << (shift - 1)
-    xb = ((x + half) & (2 * half - 1)) - half
-    yb = ((y + half) & (2 * half - 1)) - half
-    xa, ya = (x - xb) >> shift, (y - yb) >> shift
-    re, im = (xa - yb) >> width, (ya + xb) >> width
-    return re, im
 
 
 def _fixed(x, width):
@@ -392,31 +269,6 @@ def _fixed(x, width):
     sign, man, exp, _ = x._mpf_
     man, exp = -man if sign else man, exp + width
     return man << exp if exp >= 0 else (man + (1 << (-exp - 1))) >> -exp
-
-
-def _power_walk(table, exps, width):
-    """Yield the power z^e for each e of exps, increasing from 0, as
-    integers scaled by 2^width; table[j] holds z^(2^j).
-
-    The power (a, b) steps to (a + bi)(c + di) for the table entry
-    (c, d) of each set bit of the gap, truncated to
-    ((ac - bd) >> width, (ad + bc) >> width).  Three multiplications give
-    the same integers before the shift: with k1 = c(a + b),
-    ac - bd = k1 - b(c + d) and ad + bc = k1 + a(d - c), so each entry is
-    held as (c, c + d, d - c).  Each distinct gap's entries are listed
-    once.
-    """
-    steps = {}
-    e0, a, b = 0, 1 << width, 0
-    for e in exps:
-        gap, e0 = e - e0, e
-        step = steps.get(gap)
-        if step is None:
-            step = steps[gap] = [table[j] for j in range(gap.bit_length()) if gap >> j & 1]
-        for c, s, t in step:
-            k1 = c * (a + b)
-            a, b = (k1 - b * s) >> width, (k1 + a * t) >> width
-        yield a, b
 
 
 def _check_budget(radix, ncopies, budget):

@@ -5,7 +5,6 @@ and reproducible.
 """
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -161,7 +160,11 @@ def representatives_matter(l, k0):
     per slot j, each a function of x_j alone.  So it vanishes on every
     tuple of representatives exactly when each piece takes one value over
     all the representatives and those values cancel; every slot is
-    enumerated on its own, m |T| values per shift rather than |T|^m.
+    enumerated on its own, m |T| values per shift rather than |T|^m.  Each
+    piece is affine in x_j: with y the shift, 2 l_ij t(y) inverse(k0) x_j
+    for j != i and l_ii (2 t(y) inverse(k0) x_i + t(y) inverse(k0) y) for
+    j = i, so the row t(y) inverse(k0) is formed once per shift and its
+    product with each representative serves every slot.
     """
     from surgeryinv.exactmat import det_int, rat_inverse
     from surgeryinv.gauss import coset_representatives
@@ -174,23 +177,19 @@ def representatives_matter(l, k0):
     reps, _ = coset_representatives(k0)
     form, gens = linking_form_with_generators(k0)
 
-    def pair(x, y):
-        # t(x) inverse(k0) y / 2 as a multiple of 1 / (2 det^2)
-        return det * sum(x[a] * adj[a][b] * y[b] for a in range(s) for b in range(s))
-
-    def moved(x, shift):
-        return tuple(a + b for a, b in zip(x, shift))
-
-    for i in range(m):
-        for g, d in zip(gens, form.factors):
-            shift = tuple(d * x for x in g)
+    for g, d in zip(gens, form.factors):
+        shift = tuple(d * x for x in g)
+        # t(shift) inverse(k0) y / 2 = sum_b row_b y_b / (2 det^2)
+        row = [det * sum(shift[a] * adj[a][b] for a in range(s)) % modulus for b in range(s)]
+        pairs = {sum(r * x for r, x in zip(row, rep)) % modulus for rep in reps}
+        square = sum(r * x for r, x in zip(row, shift))
+        for i in range(m):
             total = 0
             for j in range(m):
                 if j == i:
-                    piece = {l[i][i] * (pair(moved(x, shift), moved(x, shift)) - pair(x, x))
-                             % modulus for x in reps}
+                    piece = {l[i][i] * (2 * x + square) % modulus for x in pairs}
                 else:
-                    piece = {2 * l[i][j] * pair(shift, x) % modulus for x in reps}
+                    piece = {2 * l[i][j] * x % modulus for x in pairs}
                 if len(piece) > 1:
                     return True
                 total += piece.pop()
@@ -307,75 +306,6 @@ def reference_evenize(l):
             do("2", j, pivot, 1 if cur[j][pivot] < 0 else -1)
     do("1inv", pivot)
     return cur, transcript
-
-
-def reference_root_walk(den, residues, width):
-    """The readout's former per-phase walk, with four multiplications a
-    product: one root z = e^{2 pi i/den} scaled by 2^width, its z^(2^j)
-    table, and one chain of truncated products from each residue of
-    (k, mult) in increasing k to the next, every multiplicity applied to
-    its power as the walk goes."""
-    from mpmath import mp
-
-    if den > 1:
-        with mp.workprec(width + 10):
-            z = mp.expjpi(mp.mpf(2) / den)
-            z = (int(mp.nint(mp.ldexp(z.real, width))),
-                 int(mp.nint(mp.ldexp(z.imag, width))))
-        table = [z]
-        while len(table) < (den - 1).bit_length():
-            table.append(_fixed_mul(table[-1], table[-1], width))
-    re = im = 0
-    k0, power = 0, (1 << width, 0)
-    for k, mult in residues:
-        gap, k0 = k - k0, k
-        for j in range(gap.bit_length()):
-            if gap >> j & 1:
-                power = _fixed_mul(power, table[j], width)
-        re += mult * power[0]
-        im += mult * power[1]
-    return re, im
-
-
-def _fixed_mul(x, y, width):
-    """Product of two complex numbers held as integers scaled by 2^width."""
-    (a, b), (c, d) = x, y
-    return (a * c - b * d) >> width, (a * d + b * c) >> width
-
-
-def root_groups(s):
-    """The roots eval_numeric reads s from: triples (L, residues, mults) in
-    increasing residue, one triple when the lcm of the denominators fits
-    one root."""
-    from surgeryinv.gauss import _ROOT_BITS, _root_groups
-
-    m, counts = s._modulus, s._counts
-    keys = sorted(counts)
-    g = math.gcd(m, *keys)
-    if (m // g).bit_length() > _ROOT_BITS:
-        return _root_groups(s, keys)
-    return [(m // g, [k // g for k in keys], [counts[k] for k in keys])]
-
-
-def reference_eval_numeric(s, precision):
-    """gauss.eval_numeric as it read sums before the baby-step/giant-step
-    reader: the same roots and widths, each root's residues read out by
-    reference_root_walk.  Returns the (re, im) mpf pair."""
-    from mpmath import mp
-
-    mults = s._counts
-    slack = (precision + len(mults).bit_length()
-             + sum(abs(m) for m in mults.values()).bit_length() + 8)
-    re = im = width = 0
-    for den, res, ms in root_groups(s):
-        w = slack + 2 * den.bit_length()
-        part_re, part_im = reference_root_walk(den, list(zip(res, ms)), w)
-        if w > width:
-            re, im, width = re << (w - width), im << (w - width), w
-        re += part_re << (width - w)
-        im += part_im << (width - w)
-    with mp.workprec(precision):
-        return mp.mpf((re, -width)), mp.mpf((im, -width))
 
 
 def reference_jordan_summands(s, p, m):

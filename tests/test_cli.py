@@ -504,17 +504,21 @@ def test_output_bytes_outside_the_readout_are_pinned(tmp_path, capsys, entry, di
 
 def test_partition_and_reciprocity_read_no_sum_out_numerically(tmp_path, capsys, monkeypatch):
     # every GOLDEN value comes from the closed form of its sum, so the
-    # numeric readout of a CyclotomicSum stays off the CLI path
+    # numeric readout of a CyclotomicSum, and the per-phase transcendental
+    # it takes, stay off the CLI path
+    from mpmath import mp
+
     from surgeryinv import gauss
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sum was read out numerically")
 
-    for name in ("eval_numeric", "_root_read"):
-        original = getattr(gauss, name)
-        for module in [m for n, m in sys.modules.items() if n.startswith("surgeryinv")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, refuse)
+    original = gauss.eval_numeric
+    for module in [m for n, m in sys.modules.items() if n.startswith("surgeryinv")]:
+        if getattr(module, "eval_numeric", None) is original:
+            monkeypatch.setattr(module, "eval_numeric", refuse)
+    # the readout imports mpmath when it runs, so refuse on the shared context
+    monkeypatch.setattr(mp, "expjpi", refuse)
     for argv, a, b, digest in GOLDEN:
         out = run_golden(tmp_path, capsys, argv, a, b)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
