@@ -161,10 +161,10 @@ def representatives_matter(l, k0):
     tuple of representatives exactly when each piece takes one value over
     all the representatives and those values cancel; every slot is
     enumerated on its own, m |T| values per shift rather than |T|^m.  Each
-    piece is affine in x_j: with y the shift, 2 l_ij t(y) inverse(k0) x_j
-    for j != i and l_ii (2 t(y) inverse(k0) x_i + t(y) inverse(k0) y) for
-    j = i, so the row t(y) inverse(k0) is formed once per shift and its
-    product with each representative serves every slot.
+    piece is affine in x_j: with y the shift and P(y, x) = t(y) inverse(k0)
+    x / 2, it is 2 l_ij P(y, x_j) for j != i and l_ii (2 P(y, x_i) +
+    P(y, y)) for j = i, so the row of P(y, .) is formed once per shift and
+    its product with each representative serves every slot.
     """
     from surgeryinv.exactmat import det_int, rat_inverse
     from surgeryinv.gauss import coset_representatives
@@ -179,7 +179,7 @@ def representatives_matter(l, k0):
 
     for g, d in zip(gens, form.factors):
         shift = tuple(d * x for x in g)
-        # t(shift) inverse(k0) y / 2 = sum_b row_b y_b / (2 det^2)
+        # P(shift, x) = sum_b row_b x_b / (2 det^2)
         row = [det * sum(shift[a] * adj[a][b] for a in range(s)) % modulus for b in range(s)]
         pairs = {sum(r * x for r, x in zip(row, rep)) % modulus for rep in reps}
         square = sum(r * x for r, x in zip(row, shift))
@@ -187,9 +187,9 @@ def representatives_matter(l, k0):
             total = 0
             for j in range(m):
                 if j == i:
-                    piece = {l[i][i] * (2 * x + square) % modulus for x in pairs}
+                    piece = {l[i][i] * (2 * v + square) % modulus for v in pairs}
                 else:
-                    piece = {2 * l[i][j] * x % modulus for x in pairs}
+                    piece = {2 * l[i][j] * v % modulus for v in pairs}
                 if len(piece) > 1:
                     return True
                 total += piece.pop()

@@ -460,8 +460,8 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, a, b, digest):
 
 
 # sha256 of each GOLDEN entry's stdout without its readout, recorded before
-# the baby-step/giant-step readout: every byte that eval_numeric does not
-# write (phase lists, invariants, metadata) stays as it was
+# the baby-step/giant-step readout: every byte outside the printed values
+# (phase lists, invariants, metadata) stays as it was
 READOUT_FIELDS = ("value", "lhs", "rhs", "abs_diff")
 READOUT_LINES = ("value = ", "lhs = ", "rhs = ", "|lhs - rhs| = ")
 CANONICAL = [

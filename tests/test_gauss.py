@@ -637,10 +637,10 @@ def _with_multiplicities(s, mode, rng):
 def readout_cases(draw):
     """(sum, precision): engine partition and lattice sums, dense sums with
     L <= 5000, mid-size ones with L <= 10^9, sparse ones with L ~ 10^30 and
-    at most 60 phases, sums over several unrelated denominators, and sums
-    with L = 1, 2 or 4; each with its multiplicities as built, all
-    negative, repeated or all distinct.  An engine sum as built is read
-    from its carried value, every other sum phase by phase."""
+    at most 60 phases, sums over unrelated denominators up to 10^9 or
+    10^12, and sums with L = 1, 2 or 4; each with its multiplicities as
+    built, all negative, repeated or all distinct.  An engine sum as built
+    is read from its carried value, every other sum phase by phase."""
     kind = draw(st.sampled_from(["partition", "lattice", "dense", "mid", "sparse",
                                  "unrelated", "several", "tiny"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
