@@ -5,6 +5,7 @@ and reproducible.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -306,6 +307,84 @@ def reference_evenize(l):
             do("2", j, pivot, 1 if cur[j][pivot] < 0 else -1)
     do("1inv", pivot)
     return cur, transcript
+
+
+def reference_root_walk(den, residues, width):
+    """A per-phase walk over one root, with four multiplications a product:
+    z = e^{2 pi i/den} scaled by 2^width, its z^(2^j) table, and one chain
+    of truncated products from each residue of (k, mult) in increasing k
+    to the next, every multiplicity applied to its power as the walk goes.
+    Returns the unrounded (re, im) integers, scaled by 2^width."""
+    from mpmath import mp
+
+    if den > 1:
+        with mp.workprec(width + 10):
+            z = mp.expjpi(mp.mpf(2) / den)
+            z = (int(mp.nint(mp.ldexp(z.real, width))),
+                 int(mp.nint(mp.ldexp(z.imag, width))))
+        table = [z]
+        while len(table) < (den - 1).bit_length():
+            table.append(_fixed_mul(table[-1], table[-1], width))
+    re = im = 0
+    k0, power = 0, (1 << width, 0)
+    for k, mult in residues:
+        gap, k0 = k - k0, k
+        for j in range(gap.bit_length()):
+            if gap >> j & 1:
+                power = _fixed_mul(power, table[j], width)
+        re += mult * power[0]
+        im += mult * power[1]
+    return re, im
+
+
+def _fixed_mul(x, y, width):
+    """Product of two complex numbers held as integers scaled by 2^width."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> width, (a * d + b * c) >> width
+
+
+REFERENCE_ROOT_BITS = 128
+
+
+def root_groups(s):
+    """The roots reference_eval_numeric walks s over: triples (L, residues,
+    mults) in increasing residue, the reduced denominators of s merged
+    greedily, in increasing order, while their lcm L has at most
+    REFERENCE_ROOT_BITS bits; a single root when the lcm of them all fits."""
+    dens, groups = sorted({phase.denominator for phase, _ in s.items()}), []
+    for d in dens:
+        if groups and math.lcm(groups[-1], d).bit_length() <= REFERENCE_ROOT_BITS:
+            groups[-1] = math.lcm(groups[-1], d)
+        else:
+            groups.append(d)
+    roots = {den: [] for den in groups}
+    for phase, mult in s.items():
+        den = next(den for den in groups if den % phase.denominator == 0)
+        roots[den].append((phase.numerator * (den // phase.denominator), mult))
+    return [(den, [k for k, _ in terms], [m for _, m in terms])
+            for den, terms in roots.items()]
+
+
+def reference_eval_numeric(s, precision):
+    """eval_numeric by an independent route: each root of root_groups(s)
+    walked by reference_root_walk at slack + 2 bit_length(L) bits, the roots
+    summed at the widest of those widths and rounded to precision bits.
+    Returns the (re, im) mpf pair."""
+    from mpmath import mp
+
+    mults = [m for _, m in s.items()]
+    slack = (precision + len(mults).bit_length()
+             + sum(abs(m) for m in mults).bit_length() + 8)
+    re = im = width = 0
+    for den, res, ms in root_groups(s):
+        w = slack + 2 * den.bit_length()
+        part_re, part_im = reference_root_walk(den, list(zip(res, ms)), w)
+        if w > width:
+            re, im, width = re << (w - width), im << (w - width), w
+        re += part_re << (width - w)
+        im += part_im << (width - w)
+    with mp.workprec(precision):
+        return mp.mpf((re, -width)), mp.mpf((im, -width))
 
 
 def reference_jordan_summands(s, p, m):

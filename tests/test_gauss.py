@@ -47,8 +47,12 @@ from helpers import (
     rand_even_symmetric,
     rand_symmetric,
     rand_unimodular,
+    REFERENCE_ROOT_BITS,
+    reference_eval_numeric,
     reference_jordan_summands,
+    reference_root_walk,
     representatives_matter,
+    root_groups,
     symmetric_matrices,
 )
 
@@ -693,6 +697,38 @@ def readout_cases(draw):
 def test_readout_is_within_its_error_bound(case):
     s, precision = case
     assert_within_readout_bound(eval_numeric(s, precision), s, precision)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(readout_cases())
+def test_readout_is_within_its_bound_of_the_reference_walk(case):
+    # each root of the reference walk within (2.5 sum |mult| k + 1) 2^-W a
+    # component of a finer per-phase sum, the roots split only when their
+    # lcm outgrows REFERENCE_ROOT_BITS; the value within its readout bound,
+    # and within twice that bound of the walk
+    s, precision = case
+    mults = [m for _, m in s.items()]
+    slack = (precision + len(s).bit_length() + sum(abs(m) for m in mults).bit_length() + 8)
+    roots = root_groups(s)
+    lcm = math.lcm(*(phase.denominator for phase, _ in s.items()))
+    assert (len(roots) > 1) == (lcm.bit_length() > REFERENCE_ROOT_BITS)
+    assert sum(len(keys) for _, keys, _ in roots) == len(s)
+    for den, keys, ms in roots:
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        width = slack + 2 * den.bit_length()
+        re, im = reference_root_walk(den, list(zip(keys, ms)), width)
+        with mp.workprec(max(2 * precision, width) + 64):
+            ref = mp.fsum(m * mp.expjpi(2 * mp.mpf(k) / den) for k, m in zip(keys, ms))
+            bound = (mp.mpf(5) / 2 * sum(abs(m) * k for k, m in zip(keys, ms)) + 1) \
+                * mp.mpf(2) ** -width
+            assert abs(mp.ldexp(re, -width) - ref.real) <= bound
+            assert abs(mp.ldexp(im, -width) - ref.imag) <= bound
+    value = eval_numeric(s, precision)
+    assert_within_readout_bound(value, s, precision)
+    re, im = reference_eval_numeric(s, precision)
+    with mp.workprec(2 * precision + 64):
+        bound = 4 * mp.mpf(2) ** -precision * max(1, mp.hypot(re, im))
+        assert abs(value.re - re) <= bound and abs(value.im - im) <= bound
 
 
 def test_engine_sums_read_out_as_their_carried_value():
