@@ -66,7 +66,6 @@ _MODULE_NAMES = {
         "eval_numeric",
         "gauss_sum_over_lattice",
         "partition_function",
-        "phase_mod1",
     ),
     "reciprocity": (
         "DualTheory",

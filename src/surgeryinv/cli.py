@@ -15,8 +15,10 @@ Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 term
 budget exceeded.
 
 The kernel commands (snf, homology, linking-form, kirby, evenize) load
-only the exact kernel; the Gauss-sum engine and mpmath are imported by
-the commands that read a sum out (partition, reciprocity, dual).
+only the exact kernel.  partition and reciprocity import the Gauss-sum
+engine, and mpmath to print the values they round; dual imports the
+engine through the reciprocity module, reads no value and loads no
+mpmath.
 partition prints the closed form that its one engine pass carries on the
 sum, next to the sum's phases.
 """

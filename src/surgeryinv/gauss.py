@@ -2,18 +2,16 @@
 
 A phase k/M in [0,1), k an integer key over the sum's modulus M, stands
 for e^{2 pi i k/M}; a Gauss sum is a finite multiset of phases with
-integer multiplicities (CyclotomicSum).  Sums are built exactly, and so
-are their values: every sum the engine builds is sqrt(N) e^{2 pi i j/8},
+integer multiplicities (CyclotomicSum).  The engine builds every sum
+exactly, and its value too: every sum it builds is sqrt(N) e^{2 pi i j/8},
 N rational (_Exact), the product of closed forms over the Jordan summands
 of its p-primary blocks (Wall, Kawauchi-Kojima, Deloup), and carries that
-value.  The partition and reciprocity commands print each component of it
-correctly rounded at the requested precision, from an integer square
-root, and read no sum out numerically.
-
-eval_numeric returns the value an engine sum carries, rounded, and reads
-a hand-built sum one phase at a time; the tests use that reading as the
-closed form's oracle.  mpmath is imported by the first readout or
-rounding, not with this module.
+value.  A CyclotomicSum is a result the engine returns, not an input
+format, and eval_numeric rounds the value it carries.  The partition and
+reciprocity commands print each component of a value correctly rounded
+at the requested precision, from an integer square root, and read no sum
+out numerically.  mpmath is imported when a value is first rounded to
+mpmath numbers (_Exact.components), not with this module.
 
 The partition function of a U(1)^n theory with integer coupling matrix C
 on a manifold with torsion group T and linking form Q is the sum over
@@ -65,51 +63,23 @@ from .homology import LinkingForm, _torsion_module
 from .surgery import coupling_to_even
 
 
-def phase_mod1(x):
-    """Reduce an exact rational into the fundamental interval [0, 1)."""
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
-
-
 class CyclotomicSum:
     """Finite multiset of phases: the exact value of a sum of roots of unity.
 
-    The constructor takes terms mapping a rational phase, reduced mod 1,
-    to an integer multiplicity; zero multiplicities are never stored.
-    Every sum is held as integer keys k over one modulus M, the phase of k
-    being k/M: the engine builds its sums that way, and the public
-    constructor writes its phases over the lcm of their denominators.
-    Equality is structural (same phases, same multiplicities), since no
-    canonicalization by vanishing root-of-unity relations is attempted.
-    A sum the engine builds also carries its exact value, which
-    eval_numeric rounds; a hand-built sum carries none, and eval_numeric
-    reads it numerically.
+    CyclotomicSum(counts, modulus, value) is the sum of e^{2 pi i k/modulus}
+    with multiplicity counts[k], for distinct integer keys k in
+    [0, modulus) with nonzero multiplicities, as the engine builds it; the
+    constructor keeps counts as it is and normalizes nothing.  value is the
+    sum's exact value (_Exact) when the engine knows it, else None, and
+    eval_numeric rounds it.  Equality is structural (same phases, same
+    multiplicities), since no canonicalization by vanishing root-of-unity
+    relations is attempted.
     """
 
     __slots__ = ("_counts", "_modulus", "_value")
 
-    def __init__(self, terms=()):
-        clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for phase, mult in items:
-            if mult:
-                p = phase_mod1(phase)
-                clean[p] = clean.get(p, 0) + mult
-        clean = {p: m for p, m in clean.items() if m}
-        modulus = math.lcm(*(p.denominator for p in clean))
-        self._counts = {p.numerator * (modulus // p.denominator): m
-                        for p, m in clean.items()}
-        self._modulus = modulus
-        self._value = None
-
-    @classmethod
-    def _from_counts(cls, counts, modulus, value=None):
-        """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], for
-        distinct keys k in [0, modulus) with nonzero counts; value is its
-        _Exact value when the engine knows it, else None."""
-        s = cls.__new__(cls)
-        s._counts, s._modulus, s._value = counts, modulus, value
-        return s
+    def __init__(self, counts, modulus, value=None):
+        self._counts, self._modulus, self._value = counts, modulus, value
 
     def items(self):
         """Term list sorted by phase; the canonical iteration order."""
@@ -145,8 +115,8 @@ def conjugate(s):
     """Complex conjugation: every phase r becomes -r mod 1, and a value the
     engine carries is conjugated with it."""
     m, value = s._modulus, s._value
-    return CyclotomicSum._from_counts({(m - k) % m: v for k, v in s._counts.items()}, m,
-                                      None if value is None else value.conjugate())
+    return CyclotomicSum({(m - k) % m: v for k, v in s._counts.items()}, m,
+                         None if value is None else value.conjugate())
 
 
 class ComplexValue(namedtuple("ComplexValue", "re im precision")):
@@ -227,48 +197,12 @@ def _rounded_sqrt(x, precision):
 
 
 def eval_numeric(s, precision=128):
-    """Evaluate a CyclotomicSum as a complex number at `precision` bits.
-
-    A sum the engine built carries its exact value, and each component is
-    that value correctly rounded (_Exact.components).  A hand-built sum is
-    read one phase at a time: each phase k/L in lowest terms takes one
-    expjpi call, whose components are rounded to integers scaled by 2^W;
-    these are multiplied by the phase's multiplicity and summed exactly,
-    and the sum is rounded once to `precision` bits.  A precision below 1
-    bit raises ValueError.
-
-    Error of a hand-built sum: write u = 2^-W.  The argument 2k/L and
-    expjpi are computed at W + 10 bits, so each scaled component lies
-    within u of its exact value, and the exact integer sum within
-    u sum |mult|.  With W = precision + bitlen(sum |mult|) + 8 that is
-    under 2^-(precision+8), and the final rounding adds at most half an
-    ulp: each component is within 1.01 * 2^-precision * max(1, |value|).
-    A sum over L = 1, 2 or 4, such as the empty sum or {0: 1}, comes out
-    exact.
-    """
-    if precision < 1:
-        raise ValueError(f"precision must be at least 1 bit, not {precision}")
-    if s._value is not None:
-        return s._value.components(precision)
-    from mpmath import mp
-
-    items = s._reduced_items()
-    width = precision + sum(abs(mult) for _, _, mult in items).bit_length() + 8
-    re = im = 0
-    with mp.workprec(width + 10):
-        for k, den, mult in items:
-            z = mp.expjpi(mp.mpf(2 * k) / den)
-            re += mult * _fixed(z.real, width)
-            im += mult * _fixed(z.imag, width)
-    return ComplexValue(mp.mpf((re, -width), prec=precision),
-                        mp.mpf((im, -width), prec=precision), precision)
-
-
-def _fixed(x, width):
-    """The mpf x scaled by 2^width and rounded to an integer."""
-    sign, man, exp, _ = x._mpf_
-    man, exp = -man if sign else man, exp + width
-    return man << exp if exp >= 0 else (man + (1 << (-exp - 1))) >> -exp
+    """The value a sum carries, as a complex number at `precision` bits:
+    each component correctly rounded (_Exact.components).  A sum that
+    carries no value, or a precision below 1 bit, raises ValueError."""
+    if s._value is None:
+        raise ValueError("the sum carries no value to read out")
+    return s._value.components(precision)
 
 
 def _check_budget(radix, ncopies, budget):
@@ -752,8 +686,7 @@ def _gauss_sum(coeff, form, sign, budget):
         part = _jordan_counts(split, p, modulus, sign)
         counts = _convolve(counts, part, modulus) if i else part
         value = value * _jordan_value(split, p, modulus)
-    return CyclotomicSum._from_counts(counts, modulus,
-                                      value.conjugate() if sign < 0 else value)
+    return CyclotomicSum(counts, modulus, value.conjugate() if sign < 0 else value)
 
 
 def _gauss_value(coeff, form, sign, budget):

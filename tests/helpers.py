@@ -64,8 +64,6 @@ def symmetric_matrices(draw, max_size=4, singular=False, even=False):
 def brute_radical_terms(k, form):
     """Radical of B(u,v) = t(u)(K x Q)v mod 1 on the torsion power, and the
     partition phases on it, both by exhaustive enumeration."""
-    from surgeryinv.gauss import phase_mod1
-
     n = len(k)
     t = form.rank
     q = form.q
@@ -80,7 +78,7 @@ def brute_radical_terms(k, form):
                     k[i][j] * q[a][b] * flat[j * t + b]
                     for j in range(n) for b in range(t)
                 )
-                if phase_mod1(val) != 0:
+                if Fraction(val) % 1 != 0:
                     return False
         return True
 
@@ -113,8 +111,6 @@ def quadratic_phase(k, form, u):
     """Phase -(1/2) t(u) (k x Q) u mod 1 of one partition-function term, at
     any representative vector u (one block of form.rank entries per row of
     k), by direct Fraction arithmetic."""
-    from surgeryinv.gauss import phase_mod1
-
     n, t = len(k), form.rank
     q = form.q
     total = Fraction(0)
@@ -125,7 +121,66 @@ def quadratic_phase(k, form, u):
                     u[i * t + a] * q[a][b] * u[j * t + b]
                     for a in range(t) for b in range(t)
                 )
-    return phase_mod1(-total / 2)
+    return Fraction(-total / 2) % 1
+
+
+def phase_sum(terms):
+    """The CyclotomicSum of rational phases, for the expected sums the
+    engine's are compared with: terms map (or list pairs of) a phase, read
+    mod 1, to an integer multiplicity; equal phases merge, zero
+    multiplicities drop, and the keys are written over the lcm of the
+    phases' denominators."""
+    from surgeryinv.gauss import CyclotomicSum
+
+    clean = {}
+    for phase, mult in terms.items() if isinstance(terms, dict) else terms:
+        p = Fraction(phase) % 1
+        clean[p] = clean.get(p, 0) + mult
+    clean = {p: m for p, m in clean.items() if m}
+    modulus = math.lcm(*(p.denominator for p in clean))
+    return CyclotomicSum({p.numerator * (modulus // p.denominator): m
+                          for p, m in clean.items()}, modulus)
+
+
+def read_by_phases(s, precision):
+    """A CyclotomicSum read out one phase at a time, whatever value it
+    carries: the closed form's oracle.  Each phase k/L in lowest terms
+    takes one expjpi call, whose components are rounded to integers scaled
+    by 2^W; these are multiplied by the phase's multiplicity and summed
+    exactly, and the sum is rounded once to `precision` bits.  A precision
+    below 1 bit raises ValueError.
+
+    Error: write u = 2^-W.  The argument 2k/L and expjpi are computed at
+    W + 10 bits, so each scaled component lies within u of its exact
+    value, and the exact integer sum within u sum |mult|.  With W =
+    precision + bitlen(sum |mult|) + 8 that is under 2^-(precision+8), and
+    the final rounding adds at most half an ulp: each component is within
+    1.01 * 2^-precision * max(1, |value|).  A sum over L = 1, 2 or 4, such
+    as the empty sum or {0: 1}, comes out exact.
+    """
+    from mpmath import mp
+
+    from surgeryinv.gauss import ComplexValue
+
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 bit, not {precision}")
+    items = s._reduced_items()
+    width = precision + sum(abs(mult) for _, _, mult in items).bit_length() + 8
+    re = im = 0
+    with mp.workprec(width + 10):
+        for k, den, mult in items:
+            z = mp.expjpi(mp.mpf(2 * k) / den)
+            re += mult * _fixed(z.real, width)
+            im += mult * _fixed(z.imag, width)
+    return ComplexValue(mp.mpf((re, -width), prec=precision),
+                        mp.mpf((im, -width), prec=precision), precision)
+
+
+def _fixed(x, width):
+    """The mpf x scaled by 2^width and rounded to an integer."""
+    sign, man, exp, _ = x._mpf_
+    man, exp = -man if sign else man, exp + width
+    return man << exp if exp >= 0 else (man + (1 << (-exp - 1))) >> -exp
 
 
 def block_counts(coeff, form):

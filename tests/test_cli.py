@@ -23,7 +23,7 @@ from surgeryinv.cli import (
 )
 from surgeryinv.gauss import CyclotomicSum
 from surgeryinv.homology import lens_presentation, linking_form, presentation
-from helpers import rand_symmetric, symmetric_matrices
+from helpers import phase_sum, rand_symmetric, symmetric_matrices
 
 
 def write(tmp_path, name, matrix):
@@ -503,9 +503,8 @@ def test_output_bytes_outside_the_readout_are_pinned(tmp_path, capsys, entry, di
 
 
 def test_partition_and_reciprocity_read_no_sum_out_numerically(tmp_path, capsys, monkeypatch):
-    # every GOLDEN value comes from the closed form of its sum, so the
-    # numeric readout of a CyclotomicSum, and the per-phase transcendental
-    # it takes, stay off the CLI path
+    # every GOLDEN value comes from the closed form of its sum, so neither
+    # eval_numeric nor a per-phase transcendental runs on the CLI path
     from mpmath import mp
 
     from surgeryinv import gauss
@@ -517,7 +516,7 @@ def test_partition_and_reciprocity_read_no_sum_out_numerically(tmp_path, capsys,
     for module in [m for n, m in sys.modules.items() if n.startswith("surgeryinv")]:
         if getattr(module, "eval_numeric", None) is original:
             monkeypatch.setattr(module, "eval_numeric", refuse)
-    # the readout imports mpmath when it runs, so refuse on the shared context
+    # mpmath is imported when a value is rounded, so refuse on the shared context
     monkeypatch.setattr(mp, "expjpi", refuse)
     for argv, a, b, digest in GOLDEN:
         out = run_golden(tmp_path, capsys, argv, a, b)
@@ -717,7 +716,7 @@ PUBLIC_NAMES = [
     "identity", "int_inverse", "is_even_symmetric", "is_symmetric", "kirby1",
     "kirby1_inverse", "kirby2", "lens_chain", "lens_presentation", "linking_form",
     "linking_form_with_generators", "mat", "mat_mul", "partition_function",
-    "phase_mod1", "presentation", "preset", "rat_inverse", "reciprocity_sides",
+    "presentation", "preset", "rat_inverse", "reciprocity_sides",
     "signature", "smith_normal_form", "transpose", "unknot",
 ]
 
@@ -728,6 +727,32 @@ def test_public_surface_is_pinned():
 
     assert surgeryinv.__all__ == PUBLIC_NAMES
     assert all(hasattr(surgeryinv, name) for name in PUBLIC_NAMES)
+
+
+def test_phase_mod1_left_the_library():
+    # a CyclotomicSum is built from integer keys over a modulus, so nothing
+    # reduces rational phases any more
+    import surgeryinv
+    from surgeryinv import gauss
+
+    for module in (surgeryinv, gauss):
+        with pytest.raises(AttributeError):
+            module.phase_mod1
+
+
+def test_dual_loads_the_engine_and_no_mpmath(tmp_path):
+    # dual rounds no value: it loads the Gauss-sum engine, through the
+    # reciprocity module, and not mpmath
+    l = write(tmp_path, "l.txt", ((2,),))
+    k = write(tmp_path, "k.txt", ((2, 1), (1, 4)))
+    probe = ("import sys\nfrom surgeryinv import cli\ncode = cli.main(sys.argv[1:])\n"
+             "print(code, 'mpmath' in sys.modules, 'surgeryinv.gauss' in sys.modules,"
+             " file=sys.stderr)")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe, "dual", "--l", l, "--k", k],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stderr.split() == [str(EXIT_OK), "False", "True"]
 
 
 def run_in_process(capsys, argv):
@@ -853,17 +878,17 @@ def test_dumps_equals_json_dumps_with_indent(doc):
 
 @st.composite
 def phase_sums(draw):
-    """An engine sum over integer keys, or the same phases given to the
-    public constructor."""
+    """A sum over integer keys, as the engine builds it, or the same phases
+    given to phase_sum."""
     modulus = draw(st.sampled_from([1, 2, 12, 2 * 3**5]) | st.integers(1, 2**200))
     counts = draw(st.dictionaries(st.integers(0, modulus - 1),
                                   st.integers(-10**30, 10**30).filter(bool), max_size=30))
-    s = CyclotomicSum._from_counts(counts, modulus)
-    return CyclotomicSum(s.items()) if draw(st.booleans()) else s
+    s = CyclotomicSum(counts, modulus)
+    return phase_sum(s.items()) if draw(st.booleans()) else s
 
 
 @settings(max_examples=300, deadline=None)
-@given(phase_sums() | st.just(CyclotomicSum._from_counts({0: 1}, 1)) | st.just(CyclotomicSum()),
+@given(phase_sums() | st.just(CyclotomicSum({0: 1}, 1)) | st.just(CyclotomicSum({}, 1)),
        st.lists(st.tuples(st.booleans(), json_documents, st.text(max_size=6)), max_size=3))
 def test_dumps_writes_a_phase_list_as_json_dumps_writes_the_fraction_list(s, nesting):
     # the phase list at top level, or nested in lists and dicts beside

@@ -31,7 +31,6 @@ from surgeryinv.gauss import (
     eval_numeric,
     gauss_sum_over_lattice,
     partition_function,
-    phase_mod1,
 )
 from surgeryinv.homology import (
     LinkingForm,
@@ -43,10 +42,12 @@ from surgeryinv.surgery import coupling_to_even, kirby1, kirby2
 from helpers import (
     block_counts,
     brute_radical_terms,
+    phase_sum,
     quadratic_phase,
     rand_even_symmetric,
     rand_symmetric,
     rand_unimodular,
+    read_by_phases,
     REFERENCE_ROOT_BITS,
     reference_eval_numeric,
     reference_jordan_summands,
@@ -62,22 +63,35 @@ Z2_MINUS_HALF = LinkingForm((2,), ((-1,),), 2)
 K_EXAMPLE = ((2, 1), (1, 4))
 
 
-def test_phase_mod1():
-    assert phase_mod1(Fraction(7, 4)) == Fraction(3, 4)
-    assert phase_mod1(Fraction(-1, 3)) == Fraction(2, 3)
-    assert phase_mod1(Fraction(5)) == 0
-
-
-def test_cyclotomic_sum_merges_and_drops_zeros():
-    s = CyclotomicSum([(Fraction(3, 2), 2), (Fraction(1, 2), -2), (Fraction(0), 1)])
+def test_phase_sum_merges_and_drops_zeros():
+    # the expected sums of the tests: phases read mod 1, equal ones merged
+    s = phase_sum([(Fraction(3, 2), 2), (Fraction(1, 2), -2), (Fraction(0), 1)])
     assert s.items() == ((Fraction(0), 1),)
-    assert CyclotomicSum({Fraction(1, 3): 5}) == CyclotomicSum(
+    assert phase_sum({Fraction(1, 3): 5}) == phase_sum(
         [(Fraction(4, 3), 2), (Fraction(1, 3), 3)]
     )
     # terms that cancel leave no trace of their denominator
-    cancelled = CyclotomicSum([(Fraction(1, 3), 1), (Fraction(1, 3), -1), (Fraction(0), 1)])
-    assert cancelled == CyclotomicSum._from_counts({0: 1}, 1)
-    assert CyclotomicSum._from_counts({0: 1}, 1) == cancelled
+    cancelled = phase_sum([(Fraction(1, 3), 1), (Fraction(1, 3), -1), (Fraction(0), 1)])
+    assert (cancelled._counts, cancelled._modulus) == ({0: 1}, 1)
+    assert cancelled == CyclotomicSum({0: 1}, 1) and CyclotomicSum({0: 1}, 1) == cancelled
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_the_constructor_takes_keys_over_a_modulus(seed):
+    # CyclotomicSum(counts, modulus) is the sum of the phases k/modulus,
+    # and so are the keys 3 k over 3 modulus
+    rng = random.Random(seed)
+    modulus = rng.choice([1, 2, 12, rng.randint(1, 10**6), rng.randint(1, 2**200)])
+    counts = {rng.randrange(modulus): rng.choice([-4, -1, 1, 7])
+              for _ in range(rng.randint(0, 30))}
+    want = phase_sum((Fraction(k, modulus), v) for k, v in counts.items())
+    for s in (CyclotomicSum(counts, modulus),
+              CyclotomicSum({3 * k: v for k, v in counts.items()}, 3 * modulus)):
+        assert s == want and want == s
+        assert s.items() == want.items()
+        assert repr(s) == repr(want)
+        assert (len(s), s.total_multiplicity) == (len(want), want.total_multiplicity)
 
 
 def test_exponent_phase_zero_vector():
@@ -115,7 +129,7 @@ def test_representative_shift_leaves_phase_unchanged():
 def test_partition_function_worked_example():
     man = lens_presentation(2, 1)
     z = partition_function(((1, 1), (0, 2)), man)
-    assert z == CyclotomicSum({Fraction(0): 3, Fraction(1, 2): 1})
+    assert z == phase_sum({Fraction(0): 3, Fraction(1, 2): 1})
     assert z.total_multiplicity == 4
     v = eval_numeric(z)
     assert abs(complex(v) - 2) < 1e-12
@@ -134,7 +148,7 @@ def test_partition_function_trivial_torsion():
     man = lens_presentation(1, 1)
     for c in [((3,),), ((1, 2), (0, 5)), ()]:
         z = partition_function(c, man)
-        assert z == CyclotomicSum({Fraction(0): 1})
+        assert z == phase_sum({Fraction(0): 1})
 
 
 def test_partition_function_conjugate_of_negated_coupling():
@@ -211,7 +225,7 @@ def test_coset_representatives_cover_the_quotient():
         keys = set()
         for x in reps:
             key = tuple(
-                phase_mod1(sum(Fraction(inv[i][j]) * x[j] for j in range(s)))
+                sum(Fraction(inv[i][j]) * x[j] for j in range(s)) % 1
                 for i in range(s)
             )
             keys.add(key)
@@ -229,7 +243,7 @@ def oracle_lattice_sum(l, k0, sign):
     seen = {}
     for x in itertools.product(range(big), repeat=s):
         key = tuple(
-            phase_mod1(sum(Fraction(inv[i][j]) * x[j] for j in range(s)))
+            sum(Fraction(inv[i][j]) * x[j] for j in range(s)) % 1
             for i in range(s)
         )
         if key not in seen:
@@ -246,14 +260,14 @@ def oracle_lattice_sum(l, k0, sign):
                         combo[i][a] * inv[a][b] * combo[j][b]
                         for a in range(s) for b in range(s)
                     )
-        phase = phase_mod1(sign * val / 2)
+        phase = Fraction(sign * val / 2) % 1
         terms[phase] = terms.get(phase, 0) + 1
-    return CyclotomicSum(terms.items())
+    return phase_sum(terms)
 
 
 def test_gauss_sum_worked_example():
     g = gauss_sum_over_lattice(((2,),), K_EXAMPLE, +1)
-    assert g == CyclotomicSum(
+    assert g == phase_sum(
         {Fraction(0): 1, Fraction(1, 7): 2, Fraction(2, 7): 2, Fraction(4, 7): 2}
     )
     v = eval_numeric(g, 128)
@@ -264,7 +278,7 @@ def test_gauss_sum_worked_example():
 
 
 def test_gauss_sum_empty_summand():
-    assert gauss_sum_over_lattice((), K_EXAMPLE, +1) == CyclotomicSum({Fraction(0): 1})
+    assert gauss_sum_over_lattice((), K_EXAMPLE, +1) == phase_sum({Fraction(0): 1})
 
 
 def test_gauss_sum_against_independent_oracle():
@@ -309,9 +323,9 @@ def test_gauss_sum_even_modulus_is_representative_independent():
             val = l[0][0] * sum(
                 x[a] * inv[a][b] * x[b] for a in range(s) for b in range(s)
             )
-            phase = phase_mod1(Fraction(val) / 2)
+            phase = Fraction(val) / 2 % 1
             terms[phase] = terms.get(phase, 0) + 1
-        assert CyclotomicSum(terms.items()) == gauss_sum_over_lattice(l, k0, +1)
+        assert phase_sum(terms) == gauss_sum_over_lattice(l, k0, +1)
 
 
 def test_gauss_sum_errors():
@@ -326,33 +340,48 @@ def test_gauss_sum_errors():
 
 
 def test_eval_numeric_basics():
-    one = eval_numeric(CyclotomicSum({Fraction(0): 1}))
+    # engine sums of exact integer values read exactly
+    one = eval_numeric(partition_function(((3,),), lens_presentation(1, 1)))
     assert complex(one) == 1 + 0j
     assert (one.re, one.im) == (1, 0)
-    i = eval_numeric(CyclotomicSum({Fraction(1, 4): 1}))
+    two = eval_numeric(partition_function(((1, 1), (0, 2)), lens_presentation(2, 1)))
+    assert (two.re, two.im) == (2, 0)
+    zero = eval_numeric(partition_function(((1,),), lens_presentation(2, 1)))
+    assert complex(zero) == 0j
+    assert (zero.re, zero.im) == (0, 0)
+
+
+def test_read_by_phases_reads_quarter_turns_exactly():
+    one = read_by_phases(phase_sum({Fraction(0): 1}), 128)
+    assert complex(one) == 1 + 0j
+    assert (one.re, one.im) == (1, 0)
+    i = read_by_phases(phase_sum({Fraction(1, 4): 1}), 128)
     assert abs(complex(i) - 1j) < 1e-30
-    empty = eval_numeric(CyclotomicSum())
+    empty = read_by_phases(CyclotomicSum({}, 1), 128)
     assert complex(empty) == 0j
     assert (empty.re, empty.im) == (0, 0)
-    quarters = eval_numeric(CyclotomicSum(
-        {Fraction(1, 4): 3, Fraction(1, 2): -2, Fraction(3, 4): 1}))
+    quarters = read_by_phases(phase_sum(
+        {Fraction(1, 4): 3, Fraction(1, 2): -2, Fraction(3, 4): 1}), 128)
     assert (quarters.re, quarters.im) == (2, 2)
 
 
 def test_eval_numeric_rejects_precision_below_one_bit():
-    s = CyclotomicSum({Fraction(1, 5): 2})
-    for precision in (0, -1, -1000):
-        with pytest.raises(ValueError, match="precision"):
-            eval_numeric(s, precision)
-    for precision in (1, 2):
-        assert_within_readout_bound(eval_numeric(s, precision), s, precision)
+    # on the sum the engine builds and, phase by phase, on a hand-built one
+    s = gauss_sum_over_lattice(((2,),), K_EXAMPLE, +1)
+    hand_built = phase_sum({Fraction(1, 5): 2})
+    for read, t in ((eval_numeric, s), (read_by_phases, hand_built)):
+        for precision in (0, -1, -1000):
+            with pytest.raises(ValueError, match="precision"):
+                read(t, precision)
+        for precision in (1, 2):
+            assert_within_readout_bound(read(t, precision), t, precision)
 
 
 def test_conjugate():
-    s = CyclotomicSum({Fraction(0): 3})
+    s = phase_sum({Fraction(0): 3})
     assert conjugate(s) == s
-    t = CyclotomicSum({Fraction(1, 3): 2, Fraction(1, 2): 1})
-    assert conjugate(t) == CyclotomicSum({Fraction(2, 3): 2, Fraction(1, 2): 1})
+    t = phase_sum({Fraction(1, 3): 2, Fraction(1, 2): 1})
+    assert conjugate(t) == phase_sum({Fraction(2, 3): 2, Fraction(1, 2): 1})
     assert conjugate(conjugate(t)) == t
 
 
@@ -397,7 +426,7 @@ def enumerated_blocks(fn, *args):
 def engine_sum(counts, modulus, flip):
     """The sum of e^{2 pi i k/modulus} with multiplicity counts[k], as the
     engine builds it, conjugated when flip."""
-    s = CyclotomicSum._from_counts(counts, modulus)
+    s = CyclotomicSum(counts, modulus)
     return conjugate(s) if flip else s
 
 
@@ -634,7 +663,7 @@ def _with_multiplicities(s, mode, rng):
     else:
         mults = rng.sample(range(1, 4 * len(keys) + 1), len(keys))
         mults = [m if rng.random() < 0.5 else -m for m in mults]
-    return CyclotomicSum._from_counts(dict(zip(keys, mults)), s._modulus)
+    return CyclotomicSum(dict(zip(keys, mults)), s._modulus)
 
 
 @st.composite
@@ -644,7 +673,8 @@ def readout_cases(draw):
     at most 60 phases, sums over unrelated denominators up to 10^9 or
     10^12, and sums with L = 1, 2 or 4; each with its multiplicities as
     built, all negative, repeated or all distinct.  An engine sum as built
-    is read from its carried value, every other sum phase by phase."""
+    is read from its carried value (eval_numeric), every other sum phase by
+    phase (read_by_phases)."""
     kind = draw(st.sampled_from(["partition", "lattice", "dense", "mid", "sparse",
                                  "unrelated", "several", "tiny"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -661,42 +691,48 @@ def readout_cases(draw):
         s = gauss_sum_over_lattice(l, k0, rng.choice([1, -1]))
     elif kind == "dense":
         den = rng.randint(1, 5000)
-        s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-1000, 1000))
-                          for _ in range(rng.randint(1, min(den, 1500))))
+        s = phase_sum((Fraction(rng.randrange(den), den), rng.randint(-1000, 1000))
+                      for _ in range(rng.randint(1, min(den, 1500))))
     elif kind == "mid":
         den = rng.randint(1, 10**9)
-        s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-10**6, 10**6))
-                          for _ in range(rng.randint(1, 300)))
+        s = phase_sum((Fraction(rng.randrange(den), den), rng.randint(-10**6, 10**6))
+                      for _ in range(rng.randint(1, 300)))
     elif kind == "sparse":
         den = rng.randint(10**29, 10**31)
         terms = []
         for _ in range(rng.randint(1, 60)):
             d = den // rng.choice([1, 2, 3, 7])
             terms.append((Fraction(rng.randrange(d), d), rng.randint(-5, 5)))
-        s = CyclotomicSum(terms)
+        s = phase_sum(terms)
     elif kind == "unrelated":
         terms = []
         for _ in range(rng.randint(1, 60)):
             d = rng.randint(1, 10**9)
             terms.append((Fraction(rng.randrange(d), d), rng.randint(-5, 5)))
-        s = CyclotomicSum(terms)
+        s = phase_sum(terms)
     elif kind == "several":
         dens = [rng.randint(10**8, 10**12) for _ in range(rng.randint(12, 30))]
-        s = CyclotomicSum((Fraction(rng.randrange(1, d), d), rng.randint(1, 5))
-                          for d in dens)
+        s = phase_sum((Fraction(rng.randrange(1, d), d), rng.randint(1, 5))
+                      for d in dens)
     else:
         den = rng.choice([1, 2, 4])
-        s = CyclotomicSum((Fraction(rng.randrange(den), den), rng.randint(-5, 5))
-                          for _ in range(rng.randint(0, 6)))
+        s = phase_sum((Fraction(rng.randrange(den), den), rng.randint(-5, 5))
+                      for _ in range(rng.randint(0, 6)))
     mode = draw(st.sampled_from(["as built", "negative", "repeated", "distinct"]))
     return _with_multiplicities(s, mode, rng), draw(st.sampled_from([53, 128, 256]))
+
+
+def readout(s, precision):
+    """An engine sum's carried value rounded, or a sum that carries none
+    read phase by phase."""
+    return (read_by_phases if s._value is None else eval_numeric)(s, precision)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(readout_cases())
 def test_readout_is_within_its_error_bound(case):
     s, precision = case
-    assert_within_readout_bound(eval_numeric(s, precision), s, precision)
+    assert_within_readout_bound(readout(s, precision), s, precision)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -723,7 +759,7 @@ def test_readout_is_within_its_bound_of_the_reference_walk(case):
                 * mp.mpf(2) ** -width
             assert abs(mp.ldexp(re, -width) - ref.real) <= bound
             assert abs(mp.ldexp(im, -width) - ref.imag) <= bound
-    value = eval_numeric(s, precision)
+    value = readout(s, precision)
     assert_within_readout_bound(value, s, precision)
     re, im = reference_eval_numeric(s, precision)
     with mp.workprec(2 * precision + 64):
@@ -754,11 +790,14 @@ def test_engine_sums_read_out_as_their_carried_value():
                 assert (got.re, got.im, got.precision) == (want.re, want.im, want.precision)
     lens = eval_numeric(sums[0], 128)
     assert (lens.re, lens.im) == (7, 0)
-    hand_built = CyclotomicSum._from_counts(sums[0]._counts, sums[0]._modulus)
-    for s in (sums[0], hand_built):
-        for precision in (0, -1):
-            with pytest.raises(ValueError, match="precision"):
-                eval_numeric(s, precision)
+    for precision in (0, -1):
+        with pytest.raises(ValueError, match="precision"):
+            eval_numeric(sums[0], precision)
+    # the same keys built without a value have no numeric readout
+    hand_built = CyclotomicSum(sums[0]._counts, sums[0]._modulus)
+    for precision in (0, 1, 128):
+        with pytest.raises(ValueError, match="carries no value"):
+            eval_numeric(hand_built, precision)
 
 
 @settings(max_examples=100, deadline=None)
@@ -770,7 +809,7 @@ def test_items_order_and_private_constructor(seed, flip):
     for _ in range(rng.randint(0, 40)):
         d = rng.choice(dens)
         terms[Fraction(rng.randrange(d), d)] = rng.choice([-2, -1, 1, 3])
-    s = CyclotomicSum(terms)
+    s = phase_sum(terms)
     assert s.items() == tuple(sorted(terms.items()))
 
     modulus = rng.randint(1, 10**6)
@@ -778,7 +817,7 @@ def test_items_order_and_private_constructor(seed, flip):
               for _ in range(rng.randint(0, 30))}
     built = engine_sum(counts, modulus, flip)
     sign = -1 if flip else 1
-    public = CyclotomicSum((Fraction(sign * k, modulus), v) for k, v in counts.items())
+    public = phase_sum((Fraction(sign * k, modulus), v) for k, v in counts.items())
     assert built == public
     assert built.items() == public.items()
     assert repr(built) == repr(public)
@@ -999,17 +1038,17 @@ def test_a_prime_cofactor_ends_trial_division():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32), st.booleans())
 def test_engine_sums_read_out_like_their_phases(seed, flip):
-    # a sum built from integer keys, against the same phases given to the
-    # public constructor: the same value bit for bit, the same terms
+    # a sum built from integer keys, against the same phases given to
+    # phase_sum: the same per-phase readout bit for bit, the same terms
     rng = random.Random(seed)
     modulus = rng.choice([1, 2, 12, 2 * 3**5, 2**13 * 3**5, rng.randint(1, 10**6)])
     step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
     counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
               for _ in range(rng.randint(1, 50))}
     built = engine_sum(counts, modulus, flip)
-    public = CyclotomicSum(built.items())
+    public = phase_sum(built.items())
     for precision in (53, 256):
-        a, b = eval_numeric(built, precision), eval_numeric(public, precision)
+        a, b = read_by_phases(built, precision), read_by_phases(public, precision)
         assert (a.re, a.im) == (b.re, b.im)
     assert built == public and public == built
     assert (len(built), built.total_multiplicity) == (len(public), public.total_multiplicity)
@@ -1023,30 +1062,30 @@ def test_engine_sums_read_out_like_their_phases(seed, flip):
 def test_conjugate_and_phase_doc_of_engine_sums_match_the_fraction_path(seed, flip):
     # the integer-key shortcuts in conjugate and in cli's phase list, against
     # the Fraction path, on an engine sum and on the same phases given to
-    # the public constructor
+    # phase_sum
     rng = random.Random(seed)
     modulus = rng.choice([1, 2, 12, 2 * 3**5, rng.randint(1, 10**6)])
     step = math.gcd(modulus, rng.choice([1, 2, 3, 4, 8, 9]))
     counts = {rng.randrange(0, modulus, step): rng.choice([-3, 1, 2, 5])
               for _ in range(rng.randint(0, 50))}
     built = engine_sum(counts, modulus, flip)
-    public = CyclotomicSum(built.items())
+    public = phase_sum(built.items())
     for s in (built, public):
         phases = json.loads(_dumps(_phases_doc(s)))
         assert phases == [[f"{p.numerator}/{p.denominator}", m] for p, m in s.items()]
         got = conjugate(s)
-        want = CyclotomicSum((phase_mod1(-p), m) for p, m in s.items())
+        want = phase_sum((-p % 1, m) for p, m in s.items())
         assert got == want and want == got
         assert got.items() == want.items()
         assert repr(got) == repr(want)
-        a, b = eval_numeric(got, 128), eval_numeric(want, 128)
+        a, b = read_by_phases(got, 128), read_by_phases(want, 128)
         assert (a.re, a.im) == (b.re, b.im)
         assert conjugate(got) == s
 
 
 # The closed form: gauss._gauss_value reads every engine sum as
 # sqrt(N) e^{2 pi i j/8} from the Jordan summands of its blocks, with the
-# histogram engine and eval_numeric as its oracle
+# histogram engine, read phase by phase, as its oracle
 
 
 def closed_form_kinds(coeff, link, sign, value):
@@ -1076,10 +1115,10 @@ def closed_form_kinds(coeff, link, sign, value):
 
 def assert_closed_form_reads_the_histogram(coeff, link, sign, budget=20_000):
     """The closed form refuses what the histogram refuses, alike, and
-    otherwise lies within eval_numeric's proven bound of the histogram's
-    200-bit readout, phase by phase from a copy that carries no value:
-    each component within 1.01 * 2^-200 * max(1, |value|).  Returns the
-    closed form, or None for a refused sum."""
+    otherwise lies within read_by_phases' proven bound of the histogram's
+    200-bit readout, phase by phase: each component within
+    1.01 * 2^-200 * max(1, |value|).  Returns the closed form, or None for
+    a refused sum."""
     form = presentation(link).form
     try:
         s = gauss._gauss_sum(coeff, form, sign, budget)
@@ -1090,7 +1129,7 @@ def assert_closed_form_reads_the_histogram(coeff, link, sign, budget=20_000):
     value = gauss._gauss_value(coeff, form, sign, budget)
     assert value.norm.denominator == 1 and 0 <= value.eighth < 8
     assert value.norm or value.eighth == 0
-    read = eval_numeric(CyclotomicSum._from_counts(s._counts, s._modulus), 200)
+    read = read_by_phases(s, 200)
     # 400 bits stand in for the exact closed form
     exact = value.components(400)
     with mp.workprec(420):
@@ -1160,8 +1199,9 @@ def test_engine_sums_carry_their_closed_form(case):
             assert lattice._value == gauss._gauss_value(coeff, lattice_form, sign, None)
     z = partition_function(upper_coupling(k), man)
     assert z._value == gauss._gauss_value(k, man.form, -1, None)
-    hand_built = CyclotomicSum(z.items())
-    assert hand_built == z and hand_built._value is None and conjugate(hand_built)._value is None
+    for hand_built in (phase_sum(z.items()), CyclotomicSum(z._counts, z._modulus)):
+        assert hand_built == z and hand_built._value is None
+        assert conjugate(hand_built)._value is None
 
 
 def test_closed_form_of_an_even_form_is_milgrams():
