@@ -72,6 +72,8 @@ def parse_matrix(text):
         raise MatrixParseError("header must be two integers: rows cols") from None
     if rows < 0 or cols < 0:
         raise MatrixParseError("negative dimensions")
+    if (rows == 0) != (cols == 0):
+        raise MatrixParseError(f"header {rows} {cols} has one dimension 0 (the empty matrix is 0 0)")
     if len(lines) - 1 != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(lines) - 1}")
     out = []

@@ -20,37 +20,38 @@ e^{- pi i t(u) (K x Q) u} with K = C + t(C); the even diagonal of K is
 exactly what makes each term independent of the representative choice.
 
 Both that sum and the lattice sums of the reciprocity identity go through
-one engine, which takes the linking form of the manifold or of the lattice
-sum's modulus matrix as homology builds it: cyclic generators with their
-orders and integer Gram numerators over the group's exponent e.  The key
-t(u)(K x gram)u is read over 2e, the phase key/2e being half of
-t(u)(K x Q)u, and no rational is formed.  A sum is defined only when each
-term depends only on the group element; a sum whose terms depend on the
-fixed representatives (possible only for an odd summand matrix over an
-odd modulus matrix) is refused with ValueError.  The group then splits
-orthogonally into p-primary blocks and the phase histogram over T^n is
-the cyclic convolution of the block histograms, whose steps cost at most
-the product of the key counts of the blocks so far times the next
-block's.  No block is enumerated.  A block's key is a
-quadratic form on T_p^n; symmetric elimination over Z/p^m (p^m the
-p-part of the modulus) splits it into Jordan summands of rank 1, and for
-p = 2 also of rank 2 (Wall; Conway-Sloane, SPLAG ch. 15).  Each rank-1
-summand is enumerated, at most p^e values for a block of exponent p^e
-(half of them at odd p, where y and -y give one key);
-each rank-2 summand has a closed form with at most 2^e keys.  Scaling u
-by a unit multiplies every key by a unit square, so every histogram is a
-function of its key's class under unit squares (2m + 1 classes for odd
-p, about 4m for p = 2), and each convolution of summands is evaluated at
-one representative per class and then expanded over Z/p^m.  A block thus
-costs about |T_p| work rather than |T_p|^n.  The term budget bounds
-|T_p|^n, the number of summands each block stands for, and every
-convolution step of the blocks.  The closed form of a block reads the
-same Jordan summands, each to a Gauss sum of its own: one elimination per
-block serves both readings, so a sum comes with its histogram and its
-value from one engine pass (_gauss_sum).  The value alone (_gauss_value,
-for the reciprocity identity) takes the same preamble and the same
-elimination and builds no histogram, so it refuses what the histogram
-refuses.
+one engine, which sums e^{pi i t(u)(S x Q)u} for a coefficient matrix S
+that carries the sign of the exponent: the partition function's S is -K,
+and -S gives the conjugate sum.  It takes the linking form of the
+manifold or of the lattice sum's modulus matrix as homology builds it:
+cyclic generators with their orders and integer Gram numerators over the
+group's exponent e.  The key t(u)(S x gram)u is read over 2e, the phase
+key/2e being half of t(u)(S x Q)u, and no rational is formed.  A sum is
+defined only when each term depends only on the group element; a sum
+whose terms depend on the fixed representatives (possible only for an odd
+summand matrix over an odd modulus matrix) is refused with ValueError.
+The group then splits orthogonally into p-primary blocks and the phase
+histogram over T^n is the cyclic convolution of the block histograms,
+whose steps cost at most the product of the key counts of the blocks so
+far times the next block's.  No block is enumerated.  A block's key is a
+quadratic form on T_p^n; symmetric elimination over Z/p^m (p^m the p-part
+of the modulus) splits it into Jordan summands of rank 1, and for p = 2
+also of rank 2 (Wall; Conway-Sloane, SPLAG ch. 15).  Each rank-1 summand
+is enumerated, at most p^e values for a block of exponent p^e (half of
+them at odd p, where y and -y give one key); each rank-2 summand has a
+closed form with at most 2^e keys.  Scaling u by a unit multiplies every
+key by a unit square, so every histogram is a function of its key's class
+under unit squares (2m + 1 classes for odd p, about 4m for p = 2), and
+each convolution of summands is evaluated at one representative per class
+and then expanded over Z/p^m.  A block thus costs about |T_p| work rather
+than |T_p|^n.  The term budget bounds |T_p|^n, the number of summands
+each block stands for, and every convolution step of the blocks.  The
+closed form of a block reads the same Jordan summands, each to a Gauss
+sum of its own: one elimination per block serves both readings, so a sum
+comes with its histogram and its value from one engine pass (_gauss_sum).
+The value alone (_gauss_value, for the reciprocity identity) takes the
+same preamble and the same elimination and builds no histogram, so it
+refuses what the histogram refuses.
 """
 
 import itertools
@@ -58,7 +59,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, is_symmetric
+from .exactmat import DEFAULT_TERM_BUDGET, BudgetExceededError, is_symmetric, mat_neg
 from .homology import LinkingForm, _torsion_module
 from .surgery import coupling_to_even
 
@@ -499,9 +500,9 @@ def _block_summands(coeff, block, p, modulus):
     return m, max(exps), len(coeff) * sum(exps), _jordan_summands(form, p, m)
 
 
-def _jordan_counts(split, p, modulus, sign):
-    """Histogram of sign times the key of a p-primary block, over the key
-    modulus, from the block's split (_block_summands), p the prime that
+def _jordan_counts(split, p, modulus):
+    """Histogram of the key of a p-primary block, over the key modulus,
+    from the block's split (_block_summands), p the prime that
     _primary_blocks paired it with, without enumerating the block.
 
     Summed over the uniform box (Z/p^e)^N, which covers the block's box
@@ -512,7 +513,7 @@ def _jordan_counts(split, p, modulus, sign):
     each convolution: it is evaluated at one representative per class,
     O(classes x summand keys) products, and expanded over Z/p^m.  The
     result goes back over the modulus by the Chinese remainder theorem,
-    whose lift carries the sign, with no zero count stored.
+    with no zero count stored.
     """
     m, e, shift, summands = split  # shift: log_p of the block's box over the summands' boxes
     big = p**m
@@ -534,7 +535,7 @@ def _jordan_counts(split, p, modulus, sign):
             hist = [at[i] for i in label]
         total = {k: c for k, c in enumerate(hist) if c}
     rest = modulus // big
-    lift = sign * rest * pow(rest, -1, big) % modulus  # sign mod p^m, 0 mod the rest
+    lift = rest * pow(rest, -1, big)  # 1 mod p^m, 0 mod the rest
     if shift >= 0:
         scale = p**shift
         return {k * lift % modulus: c * scale for k, c in total.items()}
@@ -655,11 +656,12 @@ def _engine_blocks(coeff, form, budget):
     return modulus, blocks
 
 
-def _gauss_sum(coeff, form, sign, budget):
-    """Sum of e^{2 pi i sign key / (2 modulus)}, key = t(u)(coeff x gram)u,
-    over u in the box of the linking form to the power n = len(coeff): the
-    sum of e^{sign pi i t(u)(coeff x Q)u}, as its phase histogram, carrying
-    its exact value (_Exact).
+def _gauss_sum(coeff, form, budget):
+    """Sum of e^{2 pi i key / (2 modulus)}, key = t(u)(coeff x gram)u, over
+    u in the box of the linking form to the power n = len(coeff): the sum
+    of e^{pi i t(u)(coeff x Q)u}, as its phase histogram, carrying its
+    exact value (_Exact).  A caller takes the sign of the exponent into
+    coeff, and -coeff gives the conjugate sum.
 
     The group is the orthogonal sum of its p-primary blocks (Wall), so the
     key of u is the sum of the keys of its block components, the histogram
@@ -675,30 +677,28 @@ def _gauss_sum(coeff, form, sign, budget):
     class of Z/p^m under unit squares (2m + 1 classes for odd p, about 4m
     for p = 2) for each convolution of summands; and p^m for each
     expansion over Z/p^m, p^m the p-part of the modulus.  The work on a
-    block stays within a small multiple of its |T_p|^n.  A sign -1 sum
-    lifts each block's keys by the negated CRT lift and conjugates the
-    value.
+    block stays within a small multiple of its |T_p|^n.
     """
     modulus, blocks = _engine_blocks(coeff, form, budget)
     counts, value = {0: 1}, _ONE
     for i, (p, block) in enumerate(blocks):
         split = _block_summands(coeff, block, p, modulus)
-        part = _jordan_counts(split, p, modulus, sign)
+        part = _jordan_counts(split, p, modulus)
         counts = _convolve(counts, part, modulus) if i else part
         value = value * _jordan_value(split, p, modulus)
-    return CyclotomicSum(counts, modulus, value.conjugate() if sign < 0 else value)
+    return CyclotomicSum(counts, modulus, value)
 
 
-def _gauss_value(coeff, form, sign, budget):
-    """The exact value of _gauss_sum(coeff, form, sign, budget), as an
-    _Exact, with no histogram: the product of the blocks' closed forms
+def _gauss_value(coeff, form, budget):
+    """The exact value of _gauss_sum(coeff, form, budget), as an _Exact,
+    with no histogram: the product of the blocks' closed forms
     (_jordan_value), after the same preamble (_engine_blocks), so with the
     same refusals.  It costs one elimination per block."""
     modulus, blocks = _engine_blocks(coeff, form, budget)
     value = _ONE
     for p, block in blocks:
         value = value * _jordan_value(_block_summands(coeff, block, p, modulus), p, modulus)
-    return value.conjugate() if sign < 0 else value
+    return value
 
 
 def partition_function(c, manifold, budget=None):
@@ -716,8 +716,8 @@ def partition_function(c, manifold, budget=None):
     budget bounds |T_p|^n for every prime p, and each step of convolving
     their phase histograms, not |T|^n.
     """
-    # exponent carries a global minus sign
-    return _gauss_sum(coupling_to_even(c), manifold.form, -1, budget)
+    # the exponent's minus sign goes into the coefficient matrix: -K
+    return _gauss_sum(mat_neg(coupling_to_even(c)), manifold.form, budget)
 
 
 def _nonsingular_torsion_module(k0):
@@ -765,4 +765,4 @@ def gauss_sum_over_lattice(l, k0, sign, budget=None):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     form, _ = _nonsingular_torsion_module(k0)
-    return _gauss_sum(l, form, sign, budget)
+    return _gauss_sum(l if sign > 0 else mat_neg(l), form, budget)

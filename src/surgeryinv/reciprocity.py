@@ -72,12 +72,12 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     form of each gives its rank and the |det| of its nonsingular block, and
     its signature the sign of that determinant.  Each Gauss sum is read
     exactly from the closed form of its Jordan summands (gauss._gauss_value)
-    as sqrt(N) e^{2 pi i j/8}, N rational, and so is each side: the
-    determinant powers multiply N and e^{i pi sigma(K) sigma(L)/4} adds
-    sigma(K) sigma(L) to j.  Each component of lhs and rhs is the exact
-    side's, correctly rounded at `precision` bits, and abs_diff is
-    |lhs - rhs| of those components at `precision` bits: exactly 0 when the
-    sides are equal.
+    as sqrt(N) e^{2 pi i j/8}, N rational (the right-hand sum on -k, which
+    carries its minus sign), and so is each side: the determinant powers
+    multiply N and e^{i pi sigma(K) sigma(L)/4} adds sigma(K) sigma(L) to
+    j.  Each component of lhs and rhs is the exact side's, correctly
+    rounded at `precision` bits, and abs_diff is |lhs - rhs| of those
+    components at `precision` bits: exactly 0 when the sides are equal.
     """
     if not is_symmetric(l):
         raise ValueError("linking matrix must be symmetric")
@@ -92,9 +92,9 @@ def reciprocity_sides(l, k, precision=128, budget=None):
     det_k0 = (-1) ** ((s - sigma_k) // 2) * man_k.torsion.order
 
     # |det K0|^-(m - r/2) and |det L0|^-(n - s/2), squared, over the sums
-    lhs = _gauss_value(l, man_k.form, +1, budget) * _Exact(
+    lhs = _gauss_value(l, man_k.form, budget) * _Exact(
         Fraction(man_k.torsion.order) ** (r - 2 * m), 0)
-    rhs = _gauss_value(k, man_l.form, -1, budget) * _Exact(
+    rhs = _gauss_value(mat_neg(k), man_l.form, budget) * _Exact(
         Fraction(man_l.torsion.order) ** (s - 2 * n), sigma_k * sigma_l % 8)
     lhs_val, rhs_val = lhs.components(precision), rhs.components(precision)
 

@@ -4,8 +4,9 @@ A framed link in the 3-sphere is described here only through its linking
 matrix: framings on the diagonal, pairwise linking numbers off it.  The
 two Kirby moves act on that matrix directly -- the first one borders it
 with an isolated +-1 component, the second one slides one component over
-another, which is a unimodular congruence.  Every function returns a new
-tuple-of-tuples matrix; nothing is mutated.
+another, which is a unimodular congruence.  Every public function returns
+a new tuple-of-tuples matrix; nothing is mutated.  The moves and evenize
+share one in-place kernel on list-of-lists matrices (_border, _slide, _drop).
 
 Indices are 0-based throughout the library (the command line front end
 speaks 1-based).
@@ -63,15 +64,40 @@ def _check_symmetric(l):
         raise ValueError("linking matrix must be symmetric")
 
 
+def _border(m, sign):
+    """First Kirby move in place: border m with a split unknot of framing sign."""
+    for row in m:
+        row.append(0)
+    m.append([0] * len(m) + [sign])
+
+
+def _slide(m, i0, j0, c):
+    """c second Kirby moves at once, in place: row and column i0 gain c
+    times row and column j0, the congruence by I + c E[j0,i0] = (I + E[j0,i0])^c."""
+    row, src = m[i0], m[j0]
+    framing = row[i0] + 2 * c * row[j0] + c * c * src[j0]
+    for j, x in enumerate(src):
+        row[j] += c * x
+    for i, x in enumerate(row):
+        m[i][i0] = x
+    row[i0] = framing
+
+
+def _drop(m, index):
+    """Inverse first Kirby move, in place: delete component index."""
+    del m[index]
+    for row in m:
+        del row[index]
+
+
 def kirby1(l, sign):
     """First Kirby move: add a split unknot component with framing +-1."""
     _check_symmetric(l)
     if sign not in (1, -1):
         raise ValueError("framing of the new component must be +1 or -1")
-    n = len(l)
-    bordered = [list(row) + [0] for row in l]
-    bordered.append([0] * n + [sign])
-    return mat(bordered)
+    m = [list(row) for row in l]
+    _border(m, sign)
+    return mat(m)
 
 
 def kirby1_inverse(l, index):
@@ -84,16 +110,16 @@ def kirby1_inverse(l, index):
         raise ValueError("component framing is not +-1")
     if any(l[index][j] != 0 for j in range(n) if j != index):
         raise ValueError("component is not isolated")
-    keep = [i for i in range(n) if i != index]
-    return tuple(tuple(l[i][j] for j in keep) for i in keep)
+    m = [list(row) for row in l]
+    _drop(m, index)
+    return mat(m)
 
 
 def kirby2(l, i0, j0, sign):
     """Second Kirby move: slide component i0 over component j0.
 
-    Row and column i0 gain sign * (row and column j0); the new framing is
-    l[i0][i0] + l[j0][j0] + sign * 2 * l[i0][j0].  Equivalently the result
-    is t(P) * l * P for the elementary unimodular P = I + sign * E[j0,i0].
+    Row and column i0 gain sign * (row and column j0): the result is
+    t(P) * l * P for the elementary unimodular P = I + sign * E[j0,i0].
     """
     _check_symmetric(l)
     n = len(l)
@@ -104,12 +130,7 @@ def kirby2(l, i0, j0, sign):
     if sign not in (1, -1):
         raise ValueError("slide sign must be +1 or -1")
     m = [list(row) for row in l]
-    new_diag = l[i0][i0] + l[j0][j0] + sign * 2 * l[i0][j0]
-    for j in range(n):
-        m[i0][j] += sign * l[j0][j]
-    for i in range(n):
-        m[i][i0] += sign * l[i][j0]
-    m[i0][i0] = new_diag
+    _slide(m, i0, j0, sign)
     return mat(m)
 
 
@@ -182,39 +203,16 @@ def evenize(l, budget=None):
     every framing on an even number.  Finally the pivot, isolated again
     with framing 1, is removed.
 
-    Cost: the moves act in place on one list-of-lists matrix, O(size)
-    per border or slide, where apply_move copies and re-checks the whole
-    matrix.  A run of c unit slides of one component over the pivot is
-    applied as one slide by c, since (I + sE)^c = I + csE; the transcript
-    still lists every unit move.
+    Cost: the moves' in-place kernel acts on one list-of-lists matrix,
+    O(size) per border or slide, where each public move (and apply_move)
+    copies and re-checks the whole matrix.  A run of c unit slides of one
+    component over the pivot is one _slide by c, since (I + sE)^c = I + csE;
+    the transcript still lists every unit move.
     """
     _check_symmetric(l)
     n = len(l)
     if all(l[i][i] % 2 == 0 for i in range(n)):
         return l, []
-
-    m = [list(row) for row in l]
-    transcript = []
-
-    def border(sign):
-        # first Kirby move: a split unknot component with framing sign
-        for row in m:
-            row.append(0)
-        m.append([0] * len(m) + [sign])
-        transcript.append(("1", sign))
-
-    def slide(i0, j0, sign, times=1):
-        # `times` second Kirby moves at once: row and column i0 gain
-        # c = sign * times times row and column j0
-        c = sign * times
-        row, src = m[i0], m[j0]
-        framing = row[i0] + 2 * c * row[j0] + c * c * src[j0]
-        for j, x in enumerate(src):
-            row[j] += c * x
-        for i, x in enumerate(row):
-            m[i][i0] = x
-        row[i0] = framing
-        transcript.extend([("2", i0, j0, sign)] * times)
 
     rows_mod2 = [
         sum((l[i][j] & 1) << j for j in range(n)) for i in range(n)
@@ -230,35 +228,35 @@ def evenize(l, budget=None):
             f"the evenized {size}x{size} matrix exceeds the term budget of {budget}"
         )
 
+    m = [list(row) for row in l]
     pivot = n
-    border(1)
+    _border(m, 1)
+    transcript = [("1", 1)]
     for j in sorted(subset):
-        slide(pivot, j, 1)
+        _slide(m, pivot, j, 1)
+        transcript.append(("2", pivot, j, 1))
     for j in range(n):
         assert (m[j][pivot] - m[j][j]) % 2 == 0
 
     # walk the pivot framing to exactly 1, one auxiliary component per step
     while m[pivot][pivot] != 1:
         step = -1 if m[pivot][pivot] > 1 else 1
-        border(step)
-        slide(pivot, len(m) - 1, 1)
+        _border(m, step)
+        _slide(m, pivot, len(m) - 1, 1)
+        transcript += [("1", step), ("2", pivot, len(m) - 1, 1)]
 
-    # detach the auxiliaries (one slide each) and then the old components;
-    # each unit slide over the pivot (framing 1) moves the linking by one
-    for aux in range(pivot + 1, len(m)):
-        if m[aux][pivot] != 0:
-            slide(aux, pivot, -m[aux][pivot])
-    for j in range(n):
+    # detach the auxiliaries (linking +-1) and then the old components: each
+    # unit slide over the pivot (framing 1) moves the linking x by one
+    for j in [*range(pivot + 1, len(m)), *range(n)]:
         x = m[j][pivot]
         if x != 0:
-            slide(j, pivot, 1 if x < 0 else -1, abs(x))
+            _slide(m, j, pivot, -x)
+            transcript.extend([("2", j, pivot, 1 if x < 0 else -1)] * abs(x))
 
     # inverse first Kirby move on the pivot, isolated with framing 1
     assert m[pivot][pivot] == 1
     assert not any(x for j, x in enumerate(m[pivot]) if j != pivot)
-    del m[pivot]
-    for row in m:
-        del row[pivot]
+    _drop(m, pivot)
     transcript.append(("1inv", pivot))
     assert all(m[i][i] % 2 == 0 for i in range(len(m)))
     return mat(m), transcript

@@ -94,6 +94,12 @@ def zeros(rows, cols):
     return tuple((0,) * cols for _ in range(rows))
 
 
+def signed(a, sign):
+    """a for sign +1 and -a for sign -1: the coefficient matrix that gives
+    the Gauss-sum engine a sum of that sign."""
+    return a if sign > 0 else tuple(tuple(-x for x in row) for row in a)
+
+
 def direct_sum(a, b):
     ca = len(a[0]) if a else 0
     cb = len(b[0]) if b else 0

@@ -23,7 +23,7 @@ from surgeryinv.cli import (
 )
 from surgeryinv.gauss import CyclotomicSum
 from surgeryinv.homology import lens_presentation, linking_form, presentation
-from helpers import phase_sum, rand_symmetric, symmetric_matrices
+from helpers import phase_sum, rand_symmetric, signed, symmetric_matrices
 
 
 def write(tmp_path, name, matrix):
@@ -47,6 +47,8 @@ def test_matrix_round_trip():
         )
         m = m * rng.randint(1, 4)
         assert parse_matrix(format_matrix(m)) == m
+    # the empty matrix is the one matrix with a 0 dimension, written 0 0
+    assert format_matrix(()) == "0 0\n" and parse_matrix("0 0\n") == ()
 
 
 def test_matrix_parse_accepts_comments_and_blank_lines():
@@ -56,7 +58,7 @@ def test_matrix_parse_accepts_comments_and_blank_lines():
 
 @pytest.mark.parametrize("bad", [
     "", "2\n1 2\n3 4\n", "2 2\n1 2\n", "2 2\n1 2\n3\n", "1 1\nx\n",
-    "1 1 1\n1\n",
+    "1 1 1\n1\n", "0 3\n", "3 0\n",
 ])
 def test_matrix_parse_errors(bad):
     with pytest.raises(cli.MatrixParseError):
@@ -592,8 +594,8 @@ def test_printed_components_are_mpmath_at_twice_the_precision_rounded(tmp_path, 
             lhs_scale = mp.power(man_k.torsion.order, -(mp.mpf(m) - mp.mpf(r) / 2))
             rhs_scale = mp.power(man_l.torsion.order, -(mp.mpf(n) - mp.mpf(s) / 2))
         want = {
-            "lhs": rounded(gauss._gauss_value(a, man_k.form, +1, None), lhs_scale, 0),
-            "rhs": rounded(gauss._gauss_value(b, man_l.form, -1, None), rhs_scale,
+            "lhs": rounded(gauss._gauss_value(a, man_k.form, None), lhs_scale, 0),
+            "rhs": rounded(gauss._gauss_value(signed(b, -1), man_l.form, None), rhs_scale,
                            signature(a) * signature(b)),
         }
     if "--json" in argv:

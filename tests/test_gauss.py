@@ -54,6 +54,7 @@ from helpers import (
     reference_root_walk,
     representatives_matter,
     root_groups,
+    signed,
     symmetric_matrices,
 )
 
@@ -910,7 +911,7 @@ def test_jordan_blocks_equal_the_enumerated_block(case):
     # every prime block takes the Jordan path and counts what enumerating it counts
     for p, block in gauss._primary_blocks(form, modulus, n, 10**7):
         split = gauss._block_summands(k, block, p, modulus)
-        assert gauss._jordan_counts(split, p, modulus, 1) == block_counts(k, block)
+        assert gauss._jordan_counts(split, p, modulus) == block_counts(k, block)
     assert partition_function(upper_coupling(k), man) == enumerated_sum(k, form, -1)
     # the lattice sum over the linking matrix as modulus matrix, l odd or
     # even; an odd l whose terms depend on the representatives is refused
@@ -1121,12 +1122,12 @@ def assert_closed_form_reads_the_histogram(coeff, link, sign, budget=20_000):
     a refused sum."""
     form = presentation(link).form
     try:
-        s = gauss._gauss_sum(coeff, form, sign, budget)
+        s = gauss._gauss_sum(signed(coeff, sign), form, budget)
     except (ValueError, BudgetExceededError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            gauss._gauss_value(coeff, form, sign, budget)
+            gauss._gauss_value(signed(coeff, sign), form, budget)
         return None
-    value = gauss._gauss_value(coeff, form, sign, budget)
+    value = gauss._gauss_value(signed(coeff, sign), form, budget)
     assert value.norm.denominator == 1 and 0 <= value.eighth < 8
     assert value.norm or value.eighth == 0
     read = read_by_phases(s, 200)
@@ -1192,13 +1193,15 @@ def test_engine_sums_carry_their_closed_form(case):
         for sign in (1, -1):
             if coeff is l and representatives_matter(l, link):
                 continue
-            s = gauss._gauss_sum(coeff, man.form, sign, None)
-            assert s._value == gauss._gauss_value(coeff, man.form, sign, None)
+            s = gauss._gauss_sum(signed(coeff, sign), man.form, None)
+            assert s._value == gauss._gauss_value(signed(coeff, sign), man.form, None)
             assert conjugate(s)._value == s._value.conjugate()
-            lattice = gauss_sum_over_lattice(coeff, link, sign)
-            assert lattice._value == gauss._gauss_value(coeff, lattice_form, sign, None)
+            # the engine on -coeff is the conjugate sum, phase for phase
+            assert gauss._gauss_sum(signed(coeff, -sign), man.form, None) == conjugate(s)
+            lattice =gauss_sum_over_lattice(coeff, link, sign)
+            assert lattice._value == gauss._gauss_value(signed(coeff, sign), lattice_form, None)
     z = partition_function(upper_coupling(k), man)
-    assert z._value == gauss._gauss_value(k, man.form, -1, None)
+    assert z._value == gauss._gauss_value(signed(k, -1), man.form, None)
     for hand_built in (phase_sum(z.items()), CyclotomicSum(z._counts, z._modulus)):
         assert hand_built == z and hand_built._value is None
         assert conjugate(hand_built)._value is None
@@ -1215,7 +1218,7 @@ def test_closed_form_of_an_even_form_is_milgrams():
         if order == 0:
             continue
         done += 1
-        value = gauss._gauss_value(((1,),), presentation(link).form, +1, None)
+        value = gauss._gauss_value(((1,),), presentation(link).form, None)
         assert value == gauss._Exact(Fraction(order), signature(link) % 8), link
 
 

@@ -36,6 +36,7 @@ from helpers import (
     draw_symmetric,
     rand_symmetric,
     representatives_matter,
+    signed,
     symmetric_matrices,
     zeros,
 )
@@ -290,7 +291,7 @@ def reference_lattice_sum(l, k0, sign):
         for g in gens
     )
     form = LinkingForm(factors, gram, abs(det))
-    return gauss._gauss_sum(l, form, sign * (1 if det > 0 else -1), None)
+    return gauss._gauss_sum(signed(l, sign * (1 if det > 0 else -1)), form, None)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -23,7 +23,7 @@ from surgeryinv.gauss import (
 from surgeryinv.homology import first_homology, presentation
 from surgeryinv.reciprocity import chat_from_even, cs_dual, reciprocity_sides
 from surgeryinv.surgery import coupling_to_even, kirby1, kirby2
-from helpers import rand_even_symmetric, rand_symmetric, symmetric_matrices, zeros
+from helpers import rand_even_symmetric, rand_symmetric, signed, symmetric_matrices, zeros
 
 
 def test_chat_from_even():
@@ -80,7 +80,7 @@ def test_one_pass_per_matrix_equals_the_split_off_blocks(l, k):
         form = presentation(b).form
         a0 = block_decompose(b).a0
         try:
-            got = gauss._gauss_sum(a, form, sign, budget)
+            got = gauss._gauss_sum(signed(a, sign), form, budget)
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError, match=re.escape(str(exc))):
                 gauss_sum_over_lattice(a, a0, sign, budget)
