@@ -82,7 +82,7 @@ def parse_matrix(text):
         if len(parts) != cols:
             raise MatrixParseError(f"expected {cols} entries per row")
         try:
-            out.append(tuple(int(x) for x in parts))
+            out.append(tuple(map(int, parts)))
         except ValueError:
             raise MatrixParseError(f"non-integer entry in row: {line!r}") from None
     return tuple(out)
@@ -186,12 +186,13 @@ def _dumps(o, newline="\n"):
     the commands build (dicts with str keys, lists, str, int, bool, None,
     and _phases_doc's phase lists, written as ["num/den", m] lists).
 
-    Two shapes take one pass and no call per item: a list or tuple of
-    plain ints, which is every matrix row, is one join; a phase list is one
-    f-string per phase, each key k reduced over the modulus M by one
-    gcd(k, M), at the indent where the list sits.  With an indent, json
-    falls back to its pure-Python encoder, which is slower than these joins
-    and leaves reference cycles behind."""
+    Three shapes take one pass and no call per item: a list or tuple of
+    plain ints is one join; a matrix, a list or tuple of non-empty rows of
+    plain ints, is one join per row; a phase list is one f-string per
+    phase, each key k reduced over the modulus M by one gcd(k, M), at the
+    indent where the list sits.  With an indent, json falls back to its
+    pure-Python encoder, which is slower than these joins and leaves
+    reference cycles behind."""
     if type(o) is str:
         return _encode_str(o)
     if type(o) is int:
@@ -212,8 +213,15 @@ def _dumps(o, newline="\n"):
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if set(map(type, o)) == {int}:
+        types = set(map(type, o))
+        if types == {int}:
             return "[" + inner + sep.join(map(int.__repr__, o)) + newline + "]"
+        if types <= {list, tuple} and all(set(map(type, row)) == {int} for row in o):
+            deeper = inner + "  "
+            row_sep = "," + deeper
+            rows = ["[" + deeper + row_sep.join(map(int.__repr__, row)) + inner + "]"
+                    for row in o]
+            return "[" + inner + sep.join(rows) + newline + "]"
         return "[" + inner + sep.join([_dumps(x, inner) for x in o]) + newline + "]"
     if type(o) is _PhaseList:
         m, counts = o.modulus, o.counts

@@ -167,8 +167,10 @@ def smith_normal_form(a):
     make overflow impossible, but small pivots keep the coefficient
     growth of the transforms in check.
 
-    Cost: every row operation is applied to u and every column operation
-    to v as well as to the working matrix, and the transform entries can
+    Cost: at stage t the working matrix is the (rows - t) x (cols - t)
+    block still to eliminate, since finished pivot rows and columns leave
+    it.  Every row operation is also applied to a full row of u and every
+    column operation to a full column of v, and the transform entries can
     grow far beyond the size of det(a), so this is the expensive way to
     learn the invariant factors.  Only the snf command prints u and v;
     homology, linking forms and block decompositions run the same
@@ -185,47 +187,45 @@ def _smith(a, keep_u, keep_v):
     and v is None unless keep_v.  The pivots and the operations depend on
     the working matrix alone, so d, and u or v where kept, are the same
     whichever transforms a caller asks for.
+
+    The working matrix w is only the trailing block still to eliminate:
+    w[i][j] is entry (t + i, t + j) at stage t.  Once stage t is final its
+    row and column are zero off the pivot, so the pivot is recorded and
+    both are deleted from w; the pivot scan, the remainder checks, the row
+    operations and the column swaps of stage t then touch (rows - t) x
+    (cols - t) entries.  u and v stay full size, indexed at offset t, and
+    d is rebuilt from the recorded pivots at the end.  Row operations are
+    written out where they happen, one comprehension over the row of w and
+    one over the row of u: at the sizes the commands see, a helper call per
+    operation costs as much as the entries it updates.
     """
     rows, cols = shape(a)
-    m = [list(row) for row in a]
+    w = [list(row) for row in a]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)] if keep_u else None
     v = [[int(i == j) for j in range(cols)] for i in range(cols)] if keep_v else None
-
-    def add_row(src, dst, c):
-        # row dst += c * row src, applied to m and u alike
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        if u is not None:
-            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        # column dst += c * column src, src the pivot column t, which is 0
-        # in m off the pivot row whenever this runs; v takes the whole column
-        m[src][dst] += c * m[src][src]
-        if v is not None:
-            for r in v:
-                r[dst] += c * r[src]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
+    pivots = []
     t = 0
-    while t < min(rows, cols):
-        # locate the first minimal-|entry| pivot in the trailing submatrix,
-        # row by row; a first +-1 is that entry, and ends the search
+
+    def add_col(j, c):
+        # column t + j of v gains c times the pivot column t
+        for r in v:
+            r[t + j] += c * r[t]
+
+    def swap_cols(j):
+        # swap column j with the pivot column, in w and in v
+        for r in w:
+            r[0], r[j] = r[j], r[0]
+        if v is not None:
+            for r in v:
+                r[t], r[t + j] = r[t + j], r[t]
+
+    while w and w[0]:
+        # locate the first minimal-|entry| pivot, row by row; a first +-1
+        # is that entry, and ends the search
         best, least = None, 0
-        for i in range(t, rows):
-            row = m[i]
-            for j in range(t, cols):
-                x = abs(row[j])
+        for i, row in enumerate(w):
+            for j, x in enumerate(row):
+                x = abs(x)
                 if x and (not least or x < least):
                     best, least = (i, j), x
                     if x == 1:
@@ -234,54 +234,76 @@ def _smith(a, keep_u, keep_v):
                 break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        w[0], w[i] = w[i], w[0]
+        if u is not None:
+            u[t], u[t + i] = u[t + i], u[t]
+        if j:
+            swap_cols(j)
         while True:
-            p = m[t][t]
-            # clear column t; a nonzero remainder becomes the new, smaller pivot
-            shrunk = False
-            for i in range(t + 1, rows):
-                if m[i][t] % p != 0:
-                    add_row(t, i, -(m[i][t] // p))
-                    swap_rows(t, i)
-                    shrunk = True
+            top = w[0]
+            p = top[0]
+            # clear column 0; a nonzero remainder becomes the new, smaller
+            # pivot: row i gains c times row 0, and the two rows swap.  A
+            # +-1 pivot leaves no remainder, so no entry is checked under it
+            unit = p in (1, -1)
+            for i in () if unit else range(1, len(w)):
+                x = w[i][0]
+                if x % p:
+                    c = -(x // p)
+                    w[0], w[i] = [x + c * y for x, y in zip(w[i], top)], top
+                    if u is not None:
+                        u[t], u[t + i] = [x + c * y for x, y in zip(u[t + i], u[t])], u[t]
                     break
-            if shrunk:
-                continue
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    add_row(t, i, -(m[i][t] // p))
-            for j in range(t + 1, cols):
-                if m[t][j] % p != 0:
-                    add_col(t, j, -(m[t][j] // p))
-                    swap_cols(t, j)
-                    shrunk = True
-                    break
-            if shrunk:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    add_col(t, j, -(m[t][j] // p))
-            # enforce the divisibility chain: fold any non-multiple back
-            # into row t and keep reducing; +-1 divides every entry
-            if p in (1, -1):
-                break
-            bad = next(
-                (i for i in range(t + 1, rows)
-                 for j in range(t + 1, cols) if m[i][j] % p != 0),
-                None,
-            )
-            if bad is None:
-                break
-            add_row(bad, t, 1)
+            else:
+                for i in range(1, len(w)):
+                    x = w[i][0]
+                    if x:
+                        c = -(x // p)
+                        w[i] = [x + c * y for x, y in zip(w[i], top)]
+                        if u is not None:
+                            u[t + i] = [x + c * y for x, y in zip(u[t + i], u[t])]
+                # clear row 0 by column operations: column 0 is zero off
+                # row 0 now, so in w each touches row 0 alone
+                for j in () if unit else range(1, len(top)):
+                    x = top[j]
+                    if x % p:
+                        c = -(x // p)
+                        top[j] = x + c * p
+                        if v is not None:
+                            add_col(j, c)
+                        swap_cols(j)
+                        break
+                else:
+                    for j in range(1, len(top)):
+                        x = top[j]
+                        if x:
+                            top[j] = 0
+                            if v is not None:
+                                add_col(j, -(x // p))
+                    # enforce the divisibility chain: fold any non-multiple
+                    # back into row 0 and keep reducing; +-1 divides every
+                    # entry.  Row 0 is (p, 0, ..., 0), never the one found
+                    if unit:
+                        break
+                    bad = next((i for i, row in enumerate(w) for x in row if x % p), None)
+                    if bad is None:
+                        break
+                    w[0] = [x + y for x, y in zip(top, w[bad])]
+                    if u is not None:
+                        u[t] = [x + y for x, y in zip(u[t], u[t + bad])]
+        pivots.append(w[0][0])
+        del w[0]
+        for r in w:
+            del r[0]
         t += 1
 
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
-    return m, u, v
+    d = [[0] * cols for _ in range(rows)]
+    for i, p in enumerate(pivots):
+        d[i][i] = abs(p)
+        if p < 0 and u is not None:
+            u[i] = [-x for x in u[i]]
+    return d, u, v
 
 
 def _rank(d):

@@ -76,8 +76,7 @@ def _slide(m, i0, j0, c):
     times row and column j0, the congruence by I + c E[j0,i0] = (I + E[j0,i0])^c."""
     row, src = m[i0], m[j0]
     framing = row[i0] + 2 * c * row[j0] + c * c * src[j0]
-    for j, x in enumerate(src):
-        row[j] += c * x
+    m[i0] = row = [x + c * y for x, y in zip(row, src)]
     for i, x in enumerate(row):
         m[i][i0] = x
     row[i0] = framing

@@ -56,9 +56,16 @@ def test_matrix_parse_accepts_comments_and_blank_lines():
     assert parse_matrix(text) == ((-1, 2), (2, 3))
 
 
+def test_matrix_entries_are_python_int_literals():
+    # a sign, a negative zero, digit separators and tabs, as int() reads them
+    assert parse_matrix("1 4\n+3 -0 1_000 -7\n") == ((3, 0, 1000, -7),)
+    assert parse_matrix("2 2\n1\t-2\n\t+4 \t 0_5\n") == ((1, -2), (4, 5))
+
+
 @pytest.mark.parametrize("bad", [
     "", "2\n1 2\n3 4\n", "2 2\n1 2\n", "2 2\n1 2\n3\n", "1 1\nx\n",
     "1 1 1\n1\n", "0 3\n", "3 0\n",
+    "1 1\n1.5\n", "1 1\n0x10\n", "1 1\n1e3\n", "1 1\n--1\n",
 ])
 def test_matrix_parse_errors(bad):
     with pytest.raises(cli.MatrixParseError):
@@ -864,8 +871,28 @@ def test_commands_reach_helpers_through_module_globals(tmp_path, capsys, monkeyp
     assert seen == [m, "homology", m, "snf"]
 
 
+@st.composite
+def int_matrices(draw):
+    """A list or tuple of equal-length int rows up to 6 x 6, as the commands
+    print matrices, or one with a bool in a row or an empty row, which the
+    writer takes down its general path."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entries = st.integers(-9, 9) | st.integers(-2**400, 2**400)
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    flaw = draw(st.sampled_from([None, None, "bool", "empty row"]))
+    i = draw(st.integers(0, rows - 1))
+    if flaw == "bool":
+        m[i][draw(st.integers(0, cols - 1))] = draw(st.booleans())
+    elif flaw == "empty row":
+        m[i] = []
+    return draw(st.sampled_from([list, tuple]))(
+        [draw(st.sampled_from([list, tuple]))(row) for row in m])
+
+
 json_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2**400, 2**400) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.integers(-2**400, 2**400) | st.text()
+    | int_matrices(),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=30,

@@ -25,6 +25,7 @@ from surgeryinv.exactmat import (
     smith_normal_form,
     transpose,
 )
+from surgeryinv.surgery import evenize
 from helpers import (
     direct_sum,
     rand_int_matrix,
@@ -117,22 +118,53 @@ def test_elimination_without_transforms_matches_the_certified_form(a):
 
 @st.composite
 def smith_inputs(draw):
-    """integer_matrices, or a matrix of small entries and zero rows and
-    columns where most pivots are +-1, up to 7 x 7."""
-    if draw(st.booleans()):
+    """integer_matrices; a matrix of small entries where most pivots are
+    +-1, up to 16 x 16, non-square, with zero rows and columns and repeated
+    rows; a sparse one of entries 2, 3 and their multiples, where pivots are
+    not units and the divisibility fold runs; or evenize's output on a
+    random 4-8-component linking matrix, the shape whose homology
+    kernel_kirby reads second."""
+    kind = draw(st.sampled_from(["integer", "small", "sparse", "evenized"]))
+    if kind == "integer":
         return draw(integer_matrices())
-    rows = draw(st.integers(1, 7))
-    cols = draw(st.integers(1, 7))
-    entries = st.sampled_from([0, 0, 1, -1, 2, -3, 4, 6, -9, 12])
-    return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+    if kind == "evenized":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        while True:
+            out, _ = evenize(rand_symmetric(rng, rng.randint(4, 8), -2, 2))
+            if len(out) <= 16:
+                return out
+    rows = draw(st.integers(1, 16))
+    cols = draw(st.integers(1, 16))
+    if kind == "small":
+        entries = st.sampled_from([0, 0, 1, -1, 2, -3, 4, 6, -9, 12])
+        m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    else:
+        # at most two entries a line on average: denser ones blow up the
+        # transforms, and the reference with them
+        m = [[0] * cols for _ in range(rows)]
+        for i, j, x in draw(st.lists(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                          st.sampled_from([2, -4, 6, 3, -9, 12])),
+                max_size=2 * min(rows, cols))):
+            m[i][j] = x
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [0] * cols
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    for i, k in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)),
+                              max_size=2)):
+        m[i] = list(m[k])
+    return tuple(tuple(row) for row in m)
 
 
 @settings(max_examples=400, deadline=None)
 @given(smith_inputs())
 def test_elimination_equals_the_reference_for_every_transform_kept(a):
     # the pivot search stops at a first +-1, no divisibility scan runs under
-    # a +-1 pivot and column operations touch only the pivot row of the
-    # working matrix: d, u and v stay those of the full elimination
+    # a +-1 pivot, column operations touch only the pivot row of the working
+    # matrix and finished pivot rows and columns leave it: d, u and v stay
+    # those of the full elimination
     for keep_u in (False, True):
         for keep_v in (False, True):
             assert exactmat._smith(a, keep_u, keep_v) == reference_smith(a, keep_u, keep_v)
