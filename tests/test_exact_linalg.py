@@ -161,10 +161,10 @@ def smith_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(smith_inputs())
 def test_elimination_equals_the_reference_for_every_transform_kept(a):
-    # the pivot search stops at a first +-1, no divisibility scan runs under
-    # a +-1 pivot, column operations touch only the pivot row of the working
-    # matrix and finished pivot rows and columns leave it: d, u and v stay
-    # those of the full elimination
+    # the pivot search stops at a first +-1, no remainder check or
+    # divisibility scan runs under a +-1 pivot, column operations touch only
+    # the pivot row of the working matrix and finished pivot rows and
+    # columns leave it: d, u and v stay those of the full elimination
     for keep_u in (False, True):
         for keep_v in (False, True):
             assert exactmat._smith(a, keep_u, keep_v) == reference_smith(a, keep_u, keep_v)

@@ -1,15 +1,15 @@
 """Measure a speed claim in alternating pairs of benchmark runs.
 
     python tools/bench_pairs.py PARENT CHANGE --seeds 101-110 \\
-        [--workloads kernel_kirby,gauss_enum] [--seconds 30] [--out BENCH_x.json]
+        [--workloads kernel_kirby,gauss_enum] [--out BENCH_x.json]
 
 Run from inside a git checkout.  PARENT and CHANGE are commits.  Each is
 exported with `git archive` into a fresh directory, so neither copy holds a
 bytecode cache.  For every seed and workload the tool runs the command that
-BENCHMARK.json declares, with `--workload W --seed S --seconds N --trace 0`,
-once in each copy, with PYTHONDONTWRITEBYTECODE=1.  Those two runs are a
-pair.  The parent runs first in the first pair, and the side that runs first
-alternates from pair to pair.  A pair where either run is not `correct`, or
+BENCHMARK.json declares, with `--workload W --seed S --seconds N --trace 0`
+and N its `run_seconds`, once in each copy, with PYTHONDONTWRITEBYTECODE=1.
+Those two runs are a pair.  The parent runs first in the first pair, and
+the side that runs first alternates from pair to pair.  A pair where either run is not `correct`, or
 where the two sides' output digests differ, is refused: the tool stops.
 
 For every workload and every end-to-end metric of BENCHMARK.json it prints
@@ -143,7 +143,6 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--workloads", help="comma-separated; default every workload")
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", help="write the summary to this JSON file")
     parser.add_argument("--workdir", help="where to export the two commits "
                         "(a new temporary directory by default)")
@@ -162,7 +161,7 @@ def main(argv=None):
             return 2
     command = [sys.executable if word in ("python", "python3") else word
                for word in bench["command"]]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
 
