@@ -21,6 +21,15 @@ engine through the reciprocity module, reads no value and loads no
 mpmath.
 partition prints the closed form that its one engine pass carries on the
 sum, next to the sum's phases.
+
+A command line is read in one of two ways, to the same Namespace.  An
+exact well-formed line (the command, then exact option strings, each
+store option's one value not starting with "-", positionals not starting
+with "-", every required option present) is read from a table compiled
+once from the parser's own actions.  Every other line (-h, an
+abbreviation, --opt=value, --, a "-"-leading value, an unknown or surplus
+token, a missing option, a value its type or choices refuse) goes to
+argparse, which stays the only source of help, usage and error text.
 """
 
 import argparse
@@ -490,7 +499,11 @@ def build_parser():
     """The argument parser, built on the first call and shared by every
     later one: main() reuses it for each command it runs in this process.
     Each parse_args call makes a fresh Namespace, so no state carries over
-    between commands.  Callers must not mutate the returned parser."""
+    between commands.  Callers must not mutate the returned parser.
+
+    The line table that _read_line reads is compiled here from the
+    subparsers and kept as parser.line_table, so it shares this cache:
+    build_parser.cache_clear() drops both."""
     parser = argparse.ArgumentParser(
         prog="surgeryinv",
         description="Invariants of 3-manifolds presented by surgery linking matrices.",
@@ -562,7 +575,124 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_dual)
 
+    parser.line_table = _line_table(parser, sub)
     return parser
+
+
+def _parse_defaults(p):
+    """The attributes parse_args sets on p's Namespace before it reads a
+    token: each action's default, then p's set_defaults, in that order."""
+    out = {}
+    for action in p._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            out.setdefault(action.dest, action.default)
+    for dest, value in p._defaults.items():
+        out.setdefault(dest, value)
+    return out
+
+
+def _line_table(parser, sub):
+    """Each command's grammar, read from its subparser's own actions:
+    name -> (option string -> action, positionals in order, how many
+    positionals are required, the required options, the Namespace before
+    any token is read), or None for a subparser the table cannot read.
+
+    The table reads store_true options and one-value store options; the
+    tokens of any other option (-h) are left to argparse.  Its positionals
+    are one-value stores, or one optional positional alone."""
+    table = {}
+    top = _parse_defaults(parser)
+    for name, p in sub.choices.items():
+        options, positionals, required = {}, [], set()
+        readable = not p._mutually_exclusive_groups
+        for action in p._actions:
+            kind = type(action)
+            one_value = kind is argparse._StoreAction and action.nargs is None
+            if isinstance(action.default, str) and action.type is not None:
+                readable = False  # parse_args would convert this default
+            if action.option_strings:
+                if kind is argparse._StoreTrueAction or one_value:
+                    options.update(dict.fromkeys(action.option_strings, action))
+                    if action.required:
+                        required.add(action)
+                elif action.required:
+                    readable = False
+            elif one_value or (kind is argparse._StoreAction and action.nargs == "?"):
+                positionals.append(action)
+            else:
+                readable = False
+        needed = sum(action.nargs is None for action in positionals)
+        if needed < len(positionals) and len(positionals) > 1:
+            readable = False
+        table[name] = (options, positionals, needed, frozenset(required),
+                       {**top, sub.dest: name, **_parse_defaults(p)}) if readable else None
+    return table
+
+
+_REFUSED = object()  # a value parse_args would exit on
+
+
+def _typed(action, text):
+    """text through action's type and choices as parse_args takes it, or
+    _REFUSED."""
+    value = text
+    if action.type is not None:
+        try:
+            value = action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return _REFUSED
+    if action.choices is not None and value not in action.choices:
+        return _REFUSED
+    return value
+
+
+def _read_line(argv):
+    """The Namespace that build_parser().parse_args(argv) returns, read
+    from the line table; None when argv is not an exact well-formed line.
+
+    A line is well-formed when its first token names a command and every
+    later token is the exact option string of one of the command's
+    store_true or one-value options, that option's value (one token not
+    starting with "-", which passes the option's type and choices), or a
+    positional not starting with "-"; and the positionals and required
+    options are all there."""
+    if argv is None:
+        argv = sys.argv[1:]
+    entry = build_parser().line_table.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, needed, required, defaults = entry
+    values = dict(defaults)
+    seen, free = set(), []
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = _typed(action, argv[i])
+            i += 1
+            if value is _REFUSED:
+                return None
+            values[action.dest] = value
+        seen.add(action)
+    if not needed <= len(free) <= len(positionals) or not required <= seen:
+        return None
+    for action, token in zip(positionals, free):
+        value = _typed(action, token)
+        if value is _REFUSED:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
 
 
 def main(argv=None):
@@ -580,8 +710,9 @@ def main(argv=None):
 
 
 def _run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_line(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (MatrixParseError, UsageError) as exc:

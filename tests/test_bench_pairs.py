@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import os
+import tempfile
 
 import pytest
 
@@ -76,3 +78,34 @@ def test_seed_lists_and_pair_checks():
         bench_pairs.check_pair(good, dict(good, correct=False))
     with pytest.raises(bench_pairs.PairRefused):
         bench_pairs.check_pair(good, dict(good, digests={"snf": "cd"}))
+
+
+def test_main_deletes_its_own_temporary_directory_and_keeps_a_given_one(tmp_path,
+                                                                        monkeypatch):
+    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+             "workloads": [{"name": "w"}], "end_to_end": METRICS}
+    trees = []
+
+    def export(rev, dest):
+        os.makedirs(dest)
+        with open(os.path.join(dest, "BENCHMARK.json"), "w") as fh:
+            json.dump(bench, fh)
+        trees.append(dest)
+
+    def run_once(tree, command, workload, seed, seconds):
+        return {"correct": correct, "metrics": {"wall_s": 1.0 + seed, "score": 1.0},
+                "digests": {"w": "ab"}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    argv = ["HEAD~1", "HEAD", "--seeds", "1-2"]
+    for correct, code in [(True, 0), (False, 1)]:  # a full run, then a refused pair
+        trees.clear()
+        assert bench_pairs.main(argv) == code
+        assert len(trees) == 2 and not os.path.exists(os.path.dirname(trees[0]))
+    assert os.listdir(tmp_path) == []
+    for correct, code in [(True, 0), (False, 1)]:
+        workdir = tmp_path / f"given-{correct}"
+        assert bench_pairs.main(argv + ["--workdir", str(workdir)]) == code
+        assert sorted(os.listdir(workdir)) == ["change", "parent"]

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -995,3 +997,160 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
     # twice in this process, through the parser every command shares
     for _ in range(2):
         assert run_in_process(capsys, argv) == (code, out, err)
+
+
+# The line table: cli._read_line reads an exact well-formed line from a
+# table compiled from the parser's own actions and leaves every other line
+# to argparse.  Lines are drawn from each command's grammar, options in any
+# order and repeated, and from malformed variants of them; files are
+# relative to a directory holding m.txt, c.txt and l.txt.
+
+LINE_FILES = ["m.txt", "c.txt", "l.txt", "missing.txt"]
+LINE_MANIFOLDS = LINE_FILES + ["lens:5,2", "unknot:3", "borromean", ""]
+LINE_PRECISIONS = ["1", "64", "256"]
+LINE_BUDGETS = ["0", "10", "100000"]
+# command: (option -> its values, None for a flag; how many positionals at
+# least and at most; the required options)
+LINE_GRAMMAR = {
+    "snf": ({"--json": None}, (1, 1), ()),
+    "homology": ({"--json": None, "--preset": LINE_MANIFOLDS}, (0, 1), ()),
+    "linking-form": ({"--json": None, "--preset": LINE_MANIFOLDS}, (0, 1), ()),
+    "partition": ({"--json": None, "--coupling": LINE_FILES, "--manifold": LINE_MANIFOLDS,
+                   "--precision": LINE_PRECISIONS, "--budget": LINE_BUDGETS},
+                  (0, 0), ("--coupling", "--manifold")),
+    "reciprocity": ({"--json": None, "--l": LINE_FILES, "--k": LINE_FILES,
+                     "--precision": LINE_PRECISIONS, "--budget": LINE_BUDGETS},
+                    (0, 0), ("--l", "--k")),
+    "kirby": ({"--json": None, "--move": ["1", "1inv", "2"],
+               "--args": ["1", "+1", "2", "1,2,1", ""]}, (1, 1), ("--move",)),
+    "evenize": ({"--json": None}, (1, 1), ()),
+    "dual": ({"--json": None, "--l": LINE_FILES, "--k": LINE_FILES}, (0, 0), ("--l", "--k")),
+}
+BAD_VALUES = {"--precision": ["0", "x", "1.5", ""], "--budget": ["y", "2.5", ""],
+              "--move": ["3", "1INV", ""]}
+
+
+@st.composite
+def grammar_lines(draw):
+    command = draw(st.sampled_from(sorted(LINE_GRAMMAR)))
+    options, (low, high), required = LINE_GRAMMAR[command]
+    names = list(required) + draw(st.lists(st.sampled_from(sorted(options)), max_size=4))
+    chunks = [[name] if options[name] is None else [name, draw(st.sampled_from(options[name]))]
+              for name in names]
+    chunks += [[draw(st.sampled_from(LINE_MANIFOLDS))]
+               for _ in range(draw(st.integers(low, high)))]
+    return [command] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+@st.composite
+def malformed_lines(draw):
+    line = draw(grammar_lines())
+    options, _, required = LINE_GRAMMAR[line[0]]
+    at = draw(st.integers(1, len(line)))
+    flags = [i for i, t in enumerate(line) if t.startswith("--")]
+    valued = [i for i in flags if options[line[i]] is not None]
+    kind = draw(st.sampled_from(["abbreviation", "equals", "--", "help", "dash value",
+                                 "unknown", "missing", "surplus", "empty", "bad value"]))
+    if kind == "abbreviation" and flags:
+        i = draw(st.sampled_from(flags))
+        line[i] = line[i][:draw(st.integers(2, len(line[i]) - 1))]
+    elif kind == "equals" and valued:
+        i = draw(st.sampled_from(valued))
+        line[i:i + 2] = [line[i] + "=" + line[i + 1]]
+    elif kind == "dash value" and (valued or len(options) > 1):
+        value = draw(st.sampled_from(["-1", "-x", "-", "--json", "--l", "-h"]))
+        if valued:
+            line[draw(st.sampled_from(valued)) + 1] = value
+        else:
+            names = sorted(name for name in options if options[name] is not None)
+            line[at:at] = [draw(st.sampled_from(names)), value]
+    elif kind == "missing" and required:
+        i = line.index(draw(st.sampled_from(required)))
+        del line[i:i + 2]
+    elif kind == "bad value":
+        present = [i for i in valued if line[i] in BAD_VALUES]
+        if present:
+            i = draw(st.sampled_from(present))
+            line[i + 1] = draw(st.sampled_from(BAD_VALUES[line[i]]))
+        else:
+            name = draw(st.sampled_from(sorted(set(BAD_VALUES) & set(options)) or ["--move"]))
+            line[at:at] = [name, draw(st.sampled_from(BAD_VALUES[name]))]
+    elif kind == "empty" and draw(st.booleans()):
+        line[draw(st.integers(0, len(line) - 1))] = ""
+    else:  # a surplus positional, or a kind with nothing to act on in line
+        token = {"--": st.just("--"), "help": st.sampled_from(["-h", "--help"]),
+                 "unknown": st.sampled_from(["--nope", "-q", "--JSON", "-j"]),
+                 "empty": st.just("")}.get(kind, st.sampled_from(LINE_MANIFOLDS))
+        line[at:at] = [draw(token)]
+    return line
+
+
+def quietly(call, argv):
+    """(exit code or the value call returns, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def line_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    for name, m in [("m.txt", ((2, 1), (1, 4))), ("c.txt", ((1,),)), ("l.txt", ((2,),))]:
+        write(tmp_path, name, m)
+
+
+def check_line(monkeypatch, argv):
+    """The table reads argv as parse_args does or not at all, and main
+    prints the same with the table as without it."""
+    table = cli._read_line(argv)
+    parsed = quietly(cli.build_parser().parse_args, argv)[0]
+    if table is not None:
+        assert table == parsed, argv
+        assert list(vars(table).items()) == list(vars(parsed).items()), argv
+    with_table = quietly(cli.main, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_line", lambda argv: None)
+        assert quietly(cli.main, argv) == with_table, argv
+    return table
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grammar_lines())
+@example(["evenize", "m.txt", "--json", "--json"])
+@example(["homology", "--json", "m.txt", "--preset", "borromean"])
+def test_the_line_table_reads_every_grammar_line_as_argparse_does(line_dir, monkeypatch, argv):
+    assert check_line(monkeypatch, argv) is not None, argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_lines())
+@example(["kirby", "m.txt", "--move", "1", "--args", "-1"])
+@example(["kirby", "m.txt", "--move", "3"])
+@example(["dual", "--l", "--k", "l.txt"])
+@example(["partition", "--coupling", "c.txt"])
+@example(["partition", "--coupling", "c.txt", "--manifold", "m.txt", "--precision", "0"])
+@example(["reciprocity", "--l", "l.txt", "--k", "m.txt", "--", "m.txt"])
+@example(["snf", "m.txt", "m.txt"])
+@example(["snf", "--js", "m.txt"])
+@example(["snf"])
+@example([])
+def test_the_line_table_leaves_every_other_line_to_argparse(line_dir, monkeypatch, argv):
+    check_line(monkeypatch, argv)
+
+
+def test_every_golden_line_takes_the_line_table(tmp_path):
+    for argv, a, b, _ in GOLDEN:
+        if argv[0] == "partition":
+            argv = argv + ["--coupling", "c.txt", "--manifold", b if isinstance(b, str) else "m.txt"]
+        else:
+            argv = argv + ["--l", "l.txt", "--k", "k.txt"]
+        table = cli._read_line(argv)
+        assert table is not None and table == cli.build_parser().parse_args(argv), argv

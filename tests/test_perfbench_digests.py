@@ -36,3 +36,18 @@ def test_outputs_match_the_recorded_digests(tmp_path, workload, seed):
     assert len(recorded) == len(commands)
     _, failures = checks.check_outputs(outputs, expected, recorded)
     assert not failures, sorted(failures.values())[:5]
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_benchmark_line_takes_the_line_table(tmp_path, workload):
+    # the warm-up lines and every command of seeds 1-3: a line the table
+    # left to argparse would run, and print the same, only slower
+    lines = []
+    for seed in (1, 2, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        commands, _, warmup, _ = workloads.build(workload, seed, str(workdir))
+        lines += warmup + [command["argv"] for command in commands]
+    for argv in lines:
+        table = cli._read_line(argv)
+        assert table is not None and table == cli.build_parser().parse_args(argv), argv

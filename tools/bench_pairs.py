@@ -1,11 +1,12 @@
 """Measure a speed claim in alternating pairs of benchmark runs.
 
     python tools/bench_pairs.py PARENT CHANGE --seeds 101-110 \\
-        [--workloads kernel_kirby,gauss_enum] [--out BENCH_x.json]
+        [--workloads kernel_kirby,gauss_enum] [--out BENCH_x.json] [--workdir DIR]
 
 Run from inside a git checkout.  PARENT and CHANGE are commits.  Each is
 exported with `git archive` into a fresh directory, so neither copy holds a
-bytecode cache.  For every seed and workload the tool runs the command that
+bytecode cache.  The two copies go under DIR, which is kept, or else under
+a new temporary directory, which is deleted however the tool exits.  For every seed and workload the tool runs the command that
 BENCHMARK.json declares, with `--workload W --seed S --seconds N --trace 0`
 and N its `run_seconds`, once in each copy, with PYTHONDONTWRITEBYTECODE=1.
 Those two runs are a pair.  The parent runs first in the first pair, and
@@ -144,11 +145,19 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--workloads", help="comma-separated; default every workload")
     parser.add_argument("--out", help="write the summary to this JSON file")
-    parser.add_argument("--workdir", help="where to export the two commits "
-                        "(a new temporary directory by default)")
+    parser.add_argument("--workdir", help="where to export the two commits, kept "
+                        "afterwards (by default a new temporary directory, deleted "
+                        "on exit)")
     args = parser.parse_args(argv)
+    if args.workdir:
+        return compare(args, args.workdir)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        return compare(args, workdir)
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs-")
+
+def compare(args, workdir):
+    """Export both commits under workdir, run the pairs and report them:
+    main's exit code."""
     trees = {side: os.path.join(workdir, side) for side in ("parent", "change")}
     export(args.parent, trees["parent"])
     export(args.change, trees["change"])
