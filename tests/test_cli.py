@@ -1047,12 +1047,12 @@ def malformed_lines(draw):
     line = draw(grammar_lines())
     options, _, required = LINE_GRAMMAR[line[0]]
     at = draw(st.integers(1, len(line)))
-    flags = [i for i, t in enumerate(line) if t.startswith("--")]
-    valued = [i for i in flags if options[line[i]] is not None]
+    opts = [i for i, t in enumerate(line) if t.startswith("--")]
+    valued = [i for i in opts if options[line[i]] is not None]
     kind = draw(st.sampled_from(["abbreviation", "equals", "--", "help", "dash value",
                                  "unknown", "missing", "surplus", "empty", "bad value"]))
-    if kind == "abbreviation" and flags:
-        i = draw(st.sampled_from(flags))
+    if kind == "abbreviation" and opts:
+        i = draw(st.sampled_from(opts))
         line[i] = line[i][:draw(st.integers(2, len(line[i]) - 1))]
     elif kind == "equals" and valued:
         i = draw(st.sampled_from(valued))
