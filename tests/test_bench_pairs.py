@@ -93,6 +93,7 @@ def test_main_deletes_its_own_temporary_directory_and_keeps_a_given_one(tmp_path
         trees.append(dest)
 
     def run_once(tree, command, workload, seed, seconds):
+        # `correct` is the loop variable below: False refuses the first pair
         return {"correct": correct, "metrics": {"wall_s": 1.0 + seed, "score": 1.0},
                 "digests": {"w": "ab"}}
 

@@ -6,8 +6,9 @@
 Run from inside a git checkout.  PARENT and CHANGE are commits.  Each is
 exported with `git archive` into a fresh directory, so neither copy holds a
 bytecode cache.  The two copies go under DIR, which is kept, or else under
-a new temporary directory, which is deleted however the tool exits.  For every seed and workload the tool runs the command that
-BENCHMARK.json declares, with `--workload W --seed S --seconds N --trace 0`
+a new temporary directory, which is deleted however the tool exits.  For
+every seed and workload the tool runs the command that BENCHMARK.json
+declares, with `--workload W --seed S --seconds N --trace 0`
 and N its `run_seconds`, once in each copy, with PYTHONDONTWRITEBYTECODE=1.
 Those two runs are a pair.  The parent runs first in the first pair, and
 the side that runs first alternates from pair to pair.  A pair where either run is not `correct`, or
